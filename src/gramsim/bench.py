@@ -91,6 +91,9 @@ def parse_config(text: str) -> BenchConfig:
         key = key.strip()
         value = value.strip()
         try:
+            if not value.isascii():
+                # int() and float() read other scripts' digits as numbers
+                raise ValueError(f"non-ASCII characters in value {value!r}")
             if key in _INT_KEYS:
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:

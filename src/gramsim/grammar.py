@@ -9,7 +9,9 @@ symbol appears in no body, so derivation is a finite DAG unfolding.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .graph import LabeledGraph, valid_label
@@ -59,8 +61,8 @@ class GraphGrammar:
     """Immutable grammar value; semantic checks live in validate()."""
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
-                 "_occurrences", "_leaf_counts", "_offsets", "_ext_cache",
-                 "__weakref__")
+                 "_occurrences", "_leaf_counts", "_offsets", "_bases", "_hash",
+                 "_ext_cache", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
                  edge_pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]] = ()):
@@ -84,6 +86,8 @@ class GraphGrammar:
         object.__setattr__(self, "_occurrences", None)
         object.__setattr__(self, "_leaf_counts", None)
         object.__setattr__(self, "_offsets", None)
+        object.__setattr__(self, "_bases", None)
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ext_cache", {})
 
     def __setattr__(self, name, value):
@@ -104,7 +108,12 @@ class GraphGrammar:
                 and self._rules == other._rules and set(self.edge_pairs) == set(other.edge_pairs))
 
     def __hash__(self) -> int:
-        return hash((self.terminals, self.start, frozenset(self._rules.items()), frozenset(self.edge_pairs)))
+        h = self._hash
+        if h is None:
+            h = hash((self.terminals, self.start, frozenset(self._rules.items()),
+                      frozenset(self.edge_pairs)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return (f"GraphGrammar({len(self._rules)} rules, {len(self.edge_pairs)} edge pairs, "
@@ -261,6 +270,26 @@ class GraphGrammar:
             object.__setattr__(self, "_offsets", table)
         return table
 
+    def _base_table(self) -> dict[str, list[int]]:
+        """For each rule, the leaves before each of its instances in the
+        whole graph: the offset sum of every instantiation context, in
+        instantiation_contexts order."""
+        table = self._bases
+        if table is None:
+            offsets = self._offset_table()
+            table = {name: [] for name in self._rules}
+            table[self.start] = [0]
+            for name in reversed(self._reverse_topological()):
+                own = table[name]
+                if not own:
+                    continue  # unreachable from the start symbol
+                for ordinal, label in self._rules[name].body:
+                    if label in self._rules:
+                        shift = offsets[(name, ordinal)]
+                        table[label].extend(base + shift for base in own)
+            object.__setattr__(self, "_bases", table)
+        return table
+
     def path_node(self, steps: tuple[tuple[str, int], ...]) -> int:
         """Canonical node id of a full start-anchored path (depth-first order)."""
         offsets = self._offset_table()
@@ -339,12 +368,16 @@ def one_step_extensions(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
     return SuffixSet(gg.extensions(s))
 
 
-def anchored_paths(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
-    """All full start-anchored paths that end with `s`."""
-    gg.ensure_valid()
+def _check_fits(gg: GraphGrammar, s: GrammarPathSuffix) -> None:
     err = gg.suffix_violation(s)
     if err:
         raise ValueError(err)
+
+
+def anchored_paths(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
+    """All full start-anchored paths that end with `s`."""
+    gg.ensure_valid()
+    _check_fits(gg, s)
     start = gg.start
     out = []
     work = [s]
@@ -357,22 +390,65 @@ def anchored_paths(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
     return SuffixSet(out)
 
 
+def _canonical_ids(gg: GraphGrammar, s: GrammarPathSuffix) -> list[int]:
+    # path_node is additive along the steps: 1 + the anchor instance's base
+    # + the offsets of s's own steps, once per instance of its anchor rule
+    # (per body occurrence of its terminal when s is bare)
+    bases = gg._base_table()
+    offsets = gg._offset_table()
+    if s.steps:
+        shift = 1 + sum(offsets[step] for step in s.steps)
+        return [base + shift for base in bases[s.steps[0][0]]]
+    out: list[int] = []
+    for name, ordinal in gg.label_occurrences().get(s.terminal, ()):
+        shift = 1 + offsets[(name, ordinal)]
+        out.extend(base + shift for base in bases[name])
+    return out
+
+
 def represented_nodes(gg: GraphGrammar, s: GrammarPathSuffix) -> frozenset[int]:
-    """Canonical ids of the decompressed nodes whose full path ends with `s`."""
-    return frozenset(gg.path_node(p.steps) for p in anchored_paths(gg, s))
+    """Canonical ids of the decompressed nodes whose full path ends with `s`.
+
+    Equals {gg.path_node(p.steps) for p in anchored_paths(gg, s)} without
+    building those paths.
+
+    Raises:
+        ValueError: if `s` does not fit the grammar.
+    """
+    gg.ensure_valid()
+    _check_fits(gg, s)
+    return frozenset(_canonical_ids(gg, s))
 
 
-def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> frozenset[int]:
+def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
+                           path_map: PathMap | None = None) -> frozenset[int]:
+    """All nodes represented by some suffix of `suffixes`: canonical ids,
+    or with a path map the ids it gives their full paths.
+
+    Raises:
+        ValueError: if a suffix does not fit the grammar.
+        KeyError: with the full path, if the path map has no entry for it.
+    """
+    gg.ensure_valid()
     out: set[int] = set()
     for s in suffixes:
-        out |= represented_nodes(gg, s)
-    return frozenset(out)
+        _check_fits(gg, s)
+        out.update(_canonical_ids(gg, s))
+    if path_map is None:
+        return frozenset(out)
+    table = path_map._ids_by_canonical(gg)
+    ids = frozenset([table[c] for c in out])
+    if None in ids:
+        missing = min(c for c in out if table[c] is None)
+        steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
+        raise KeyError(GrammarPathSuffix(steps, terminal))
+    return ids
 
 
 class PathMap:
     """Bijection between full grammar paths and node ids."""
 
-    __slots__ = ("_by_path", "_by_node")
+    __slots__ = ("_by_path", "_by_node", "_dense")
 
     def __init__(self, entries: Iterable[tuple[GrammarPathSuffix, int]]):
         by_path: dict[GrammarPathSuffix, int] = {}
@@ -386,9 +462,25 @@ class PathMap:
             by_node[nid] = path
         self._by_path = by_path
         self._by_node = dict(sorted(by_node.items()))
+        self._dense: tuple[weakref.ref, list[int | None]] | None = None
 
     def node_for(self, path: GrammarPathSuffix) -> int:
         return self._by_path[path]
+
+    def _ids_by_canonical(self, gg: GraphGrammar) -> list[int | None]:
+        # Dense canonical id -> this map's id table over gg's full paths,
+        # None where the map lacks the path. Kept for the grammar last asked
+        # about, checked by identity, through a weak reference so the map
+        # never keeps a grammar alive.
+        dense = self._dense
+        if dense is not None and dense[0]() is gg:
+            return dense[1]
+        lookup = self._by_path.get
+        table: list[int | None] = [None]
+        table.extend(lookup(GrammarPathSuffix(steps, terminal))
+                     for steps, terminal in gg.iter_full_paths())
+        self._dense = (weakref.ref(gg), table)
+        return table
 
     def path_for(self, nid: int) -> GrammarPathSuffix:
         return self._by_node[nid]
@@ -460,6 +552,10 @@ def parse_grammar(text: str) -> GraphGrammar:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii():
+            # symbols are ASCII; str.isdigit would also pass other
+            # scripts' digits, which int() misreads or rejects
+            raise GrammarFormatError(f"line {lineno}: non-ASCII characters")
         tokens = line.split()
         kind = tokens[0]
         if kind == "TERMINALS":
@@ -538,6 +634,10 @@ def parse_path_map(text: str) -> PathMap:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii():
+            # symbols are ASCII; str.isdigit would also pass other
+            # scripts' digits, which int() misreads or rejects
+            raise GrammarFormatError(f"line {lineno}: non-ASCII characters")
         tokens = line.split()
         if len(tokens) != 2 or not tokens[1].isdigit():
             raise GrammarFormatError(f"line {lineno}: expected '<path> <id>'")

@@ -148,6 +148,10 @@ def load_graph(text: str) -> LabeledGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii():
+            # ids and labels are ASCII; str.isdigit would also pass other
+            # scripts' digits, which int() misreads or rejects
+            raise GraphFormatError(f"line {lineno}: non-ASCII characters")
         tokens = line.split()
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected two tokens, got {len(tokens)}")

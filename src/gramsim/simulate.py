@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .graph import PatternGraph
-from .grammar import GraphGrammar, PathMap, anchored_paths, represented_nodes
+from .grammar import GraphGrammar, PathMap, represented_node_union
 from .suffix import GrammarPathSuffix, SuffixSet, bare, is_suffix_of, remove_subsumed
 
 
@@ -480,18 +480,17 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
     """Expand a simulation result to concrete node ids per pattern node.
 
     Without a path map, ids are the canonical decompression ids; with
-    one (e.g. from compress), each full path is translated through it.
+    one (e.g. from compress), each node's full path is translated through
+    it. Cost is linear in the matched nodes: the grammar's per-rule
+    instance offsets and the path map's table for the grammar are built
+    on the first expansion and kept.
+
+    Raises:
+        KeyError: with the full path, if the path map has no entry for a
+            matched node.
     """
-    out: dict[int, frozenset[int]] = {}
-    for u, sset in result.candidates.items():
-        nodes: set[int] = set()
-        for s in sset:
-            if path_map is None:
-                nodes |= represented_nodes(gg, s)
-            else:
-                nodes.update(path_map.node_for(p) for p in anchored_paths(gg, s))
-        out[u] = frozenset(nodes)
-    return out
+    return {u: represented_node_union(gg, sset, path_map)
+            for u, sset in result.candidates.items()}
 
 
 def expand_to_nodes(gg: GraphGrammar, result: SimulationResult,

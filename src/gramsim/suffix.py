@@ -89,11 +89,15 @@ def parse_suffix(text: str) -> GrammarPathSuffix:
     """Parse `N1/i1:...:Nn/in:F` (n >= 0) into a GrammarPathSuffix.
 
     Raises:
-        SuffixFormatError: empty input, malformed step, non-positive or
-            non-numeric ordinal, or an invalid rule/terminal name.
+        SuffixFormatError: empty or non-ASCII input, malformed step,
+            non-positive or non-numeric ordinal, or an invalid rule/terminal
+            name.
     """
     if not text:
         raise SuffixFormatError("empty grammar path suffix")
+    if not text.isascii():
+        # names are ASCII; str.isdigit would also pass other scripts' digits
+        raise SuffixFormatError(f"non-ASCII characters in suffix {text!r}")
     parts = text.split(":")
     steps = []
     for part in parts[:-1]:

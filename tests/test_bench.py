@@ -48,6 +48,8 @@ def test_parse_config_defaults():
     ("variations = \n", "empty"),
     ("seeds = ,\n", "empty"),
     ("repetitions = 0\n", "at least 1"),
+    ("base_nodes = 10\nseeds = 1, ١\n", "line 2: non-ASCII"),
+    ("delete_fraction = ٠.5\n", "line 1: non-ASCII"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(BenchConfigError) as err:

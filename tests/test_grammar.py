@@ -1,12 +1,20 @@
+import gc
+import random
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gramsim import (GrammarFormatError, GrammarValidationError, GraphGrammar,
-                     Rule, anchored_paths, decompress, format_grammar,
-                     format_path_map, one_step_extensions, parse_grammar,
-                     parse_path_map, parse_suffix, represented_node_union,
-                     represented_nodes, bare)
+                     GraphGenParams, PathMap, Rule,
+                     anchored_paths, compress, decompress, expand_by_node,
+                     format_grammar, format_path_map, gen_graph,
+                     one_step_extensions, parse_grammar, parse_path_map,
+                     parse_suffix, represented_node_union, represented_nodes,
+                     bare, load_graph, simulate_on_grammar)
+
+from .conftest import seeded_case
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,6 +53,9 @@ def test_rule_validation():
     ("TERMINALS a\nTERMINALS b\n", "duplicate TERMINALS"),
     ("TERMINALS a\nSTART S\nRULE S = 1:a\n", "=>"),
     ("TERMINALS a\nSTART S\nRULE S => 0:a\n", "body item"),
+    ("TERMINALS a\nSTART S\nRULE S => ²:a\n", "line 3: non-ASCII"),
+    ("TERMINALS a\nSTART S\nRULE S => ١:a\n", "line 3: non-ASCII"),
+    ("TERMINALS a\nSTART S\nRULE S => 1:a\nEDGE S/١:a S/1:a\n", "line 4: non-ASCII"),
     ("TERMINALS a\nSTART S\nRULE S => 1:a\nRULE S => 1:a\n", "already defined on line 3"),
     ("TERMINALS a\nSTART S\nEDGE S/1:a\n", "two suffixes"),
     ("TERMINALS a\nSTART S\nEDGE S/1:a S/0:a\n", "ordinal"),
@@ -164,6 +175,27 @@ def test_path_map_rejects_duplicates():
         parse_path_map("a one\n")
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("S/1:a 1\nS/2:a ١\n", "line 2: non-ASCII"),  # int() reads it as 1
+    ("S/1:a ²\n", "line 1: non-ASCII"),
+    ("S/١:a 1\n", "line 1: non-ASCII"),
+])
+def test_path_map_rejects_non_ascii_digits(text, fragment):
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map(text)
+    assert fragment in str(err.value)
+
+
+def test_reloaded_grammar_hashes_and_compares_equal(fig1_grammar):
+    graph = gen_graph(GraphGenParams(base_nodes=12, variations=4, delete_fraction=0.3,
+                                     edges_per_node=1.25, label_alphabet=2, seed=5))
+    for gg in (fig1_grammar, compress(graph)[0]):
+        copy = parse_grammar(format_grammar(gg))
+        assert copy is not gg
+        assert copy == gg
+        assert hash(copy) == hash(gg)
+
+
 def test_empty_rule_body_round_trips():
     text = "TERMINALS a\nSTART S\nRULE S => 1:a 2:A\nRULE A =>\n"
     gg = parse_grammar(text)
@@ -171,3 +203,75 @@ def test_empty_rule_body_round_trips():
     assert format_grammar(parse_grammar(format_grammar(gg))) == format_grammar(gg)
     graph, _ = decompress(gg)
     assert graph.node_ids == (1,)
+
+
+# ---- expansion by instance offsets, against the anchored-path reference ----
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_expansion_matches_anchored_paths(seed):
+    graph, pattern = seeded_case(seed, max_base=10)
+    gg, pm = compress(graph)
+    rng = random.Random(seed)
+    # what expansion meets: result suffixes and their one-step extensions,
+    # a bare terminal, and start-anchored full paths
+    result = simulate_on_grammar(gg, pattern, optimized=rng.random() < 0.5)
+    probes = [s for sset in result.candidates.values() for s in sset]
+    probes += [e for s in list(probes) for e in gg.extensions(s)]
+    probes.append(bare(rng.choice(sorted(gg.terminals))))
+    full = [path for path, _ in pm]
+    probes += rng.sample(full, min(3, len(full)))
+    for s in probes:
+        paths = anchored_paths(gg, s)
+        assert represented_nodes(gg, s) == {gg.path_node(p.steps) for p in paths}
+        assert represented_node_union(gg, [s], pm) == {pm.node_for(p) for p in paths}
+
+
+def test_expansion_of_a_path_missing_from_the_map_raises_key_error(fig1_grammar):
+    _, full = decompress(fig1_grammar)
+    missing = parse_suffix("S/3:CDCD/1:CD/1:c")
+    pm = PathMap((path, nid) for path, nid in full if path != missing)
+    assert represented_node_union(fig1_grammar, [parse_suffix("S/1:CDCD/1:CD/1:c")], pm) == {1}
+    with pytest.raises(KeyError) as err:
+        represented_node_union(fig1_grammar, [parse_suffix("CD/1:c")], pm)
+    assert err.value.args == (missing,)
+    result = simulate_on_grammar(fig1_grammar, load_graph("1 c\n"))
+    with pytest.raises(KeyError):
+        expand_by_node(fig1_grammar, result, pm)
+
+
+OTHER_S = """TERMINALS b c d
+START S
+RULE CD => 1:c 2:d
+RULE CDCD => 1:CD 2:CD
+RULE S => 1:b 2:CDCD 3:CDCD
+EDGE CD/1:c CD/2:d
+"""
+
+
+def test_one_path_map_follows_each_grammar_it_expands_against(fig1_grammar):
+    # fig1 with b moved to the front of S: canonical ids 1-4 now name other
+    # paths, so a table kept from one grammar gives the other wrong ids
+    other = parse_grammar(OTHER_S)
+    entries = {path: 100 + nid for path, nid in decompress(fig1_grammar)[1]}
+    for path, nid in decompress(other)[1]:
+        entries.setdefault(path, 200 + nid)
+    pm = PathMap(entries.items())
+    reload = parse_grammar(format_grammar(fig1_grammar))
+    probe = [parse_suffix("CD/1:c"), bare("b")]
+    for gg in (fig1_grammar, other, reload, other, fig1_grammar):
+        want = {pm.node_for(p) for s in probe for p in anchored_paths(gg, s)}
+        assert represented_node_union(gg, probe, pm) == want
+    assert represented_node_union(other, probe, pm) == {201, 202, 204, 106, 108}
+
+
+def test_path_map_does_not_keep_its_grammar_alive(fig1_grammar):
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    _, pm = decompress(gg)
+    assert represented_node_union(gg, [bare("b")], pm) == {5}
+    ref = weakref.ref(gg)
+    del gg
+    gc.collect()
+    assert ref() is None
+    assert represented_node_union(fig1_grammar, [bare("b")], pm) == {5}

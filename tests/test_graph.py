@@ -44,6 +44,9 @@ def test_save_is_canonical(fig1_graph):
     ("1 a\n2 b\n1 2\n3 c\n", "after edge"),
     ("1 a\n1 2\n", "undeclared"),
     ("1 a*\n", "label"),
+    ("² a\n", "line 1: non-ASCII"),  # int() rejects it
+    ("1 a\n١ b\n", "line 2: non-ASCII"),  # int() reads it as 1
+    ("1 a\n2 b\n1 ٢\n", "line 3: non-ASCII"),
 ])
 def test_load_rejects(text, fragment):
     with pytest.raises(GraphFormatError) as err:

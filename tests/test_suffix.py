@@ -46,6 +46,8 @@ def test_parse_steps():
     "A/1:",
     "a b/1:c",
     "A/1:b c",
+    "A/١:b",          # Arabic-Indic one, which int() reads as 1
+    "A/²:b",
 ])
 def test_parse_rejects(text):
     with pytest.raises(SuffixFormatError):
