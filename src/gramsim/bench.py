@@ -37,6 +37,10 @@ class BenchConfigError(ValueError):
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One benchmark sweep. `timeout_ms` is checked only after a timed run
+    has finished: no run is interrupted, and the untimed warmup is not
+    checked at all."""
+
     base_nodes: int = 50
     variations: tuple[int, ...] = (10,)
     delete_fraction: float = 0.5
@@ -146,7 +150,9 @@ def run_bench(config: BenchConfig,
 
     Raises:
         BenchMismatchError: engines disagree (message names the cell).
-        BenchTimeoutError: a timed run went over timeout_ms.
+        BenchTimeoutError: a timed run went over timeout_ms. The check
+            runs after the run has finished, so it cannot stop a run
+            that never ends; the untimed warmup is not checked.
     """
     records = []
     for graph_index, variations in enumerate(config.variations, start=1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .baseline import simulate_on_graph
@@ -18,7 +19,8 @@ from .compress import compress
 from .generate import GraphGenParams, PatternGenParams, gen_graph, gen_pattern
 from .graph import GraphFormatError, load_graph, save_graph, valid_label
 from .grammar import (GrammarFormatError, GrammarValidationError, decompress,
-                      format_grammar, format_path_map, parse_grammar)
+                      format_grammar, format_path_map, parse_grammar,
+                      parse_path_map)
 from .simulate import expand_by_node, simulate_on_grammar
 from .suffix import SuffixFormatError
 
@@ -91,7 +93,14 @@ def _simulate_lines(args: argparse.Namespace) -> list[str]:
     grammar = parse_grammar(_read_text(args.grammar))
     result = simulate_on_grammar(grammar, pattern, optimized=args.optimized)
     if args.expand:
-        by_node = expand_by_node(grammar, result)
+        # the sidecar compress writes maps paths back to the input's ids
+        map_path = args.grammar + ".map"
+        path_map = (parse_path_map(_read_text(map_path))
+                    if os.path.exists(map_path) else None)
+        try:
+            by_node = expand_by_node(grammar, result, path_map)
+        except KeyError as exc:
+            raise _DataError(f"{map_path} has no node for path {exc.args[0]}") from exc
         return [f"{u} {v}" for u in sorted(by_node) for v in sorted(by_node[u])]
     return [f"{u} {s}" for u in sorted(result.candidates)
             for s in result.candidates[u]]
@@ -171,9 +180,10 @@ def build_parser() -> _Parser:
     source.add_argument("--graph", help="run the baseline on an edge-list file")
     cmd.add_argument("--pattern", required=True, help="pattern edge-list file")
     cmd.add_argument("--optimized", action="store_true",
-                     help="use the indexed grammar engine")
+                     help="defer removals and re-coalesce suffix sets")
     cmd.add_argument("--expand", action="store_true",
-                     help="print matched node ids instead of path suffixes")
+                     help="print matched node ids instead of path suffixes (the "
+                          "ids of <grammar>.map when that file exists)")
     cmd.add_argument("-o", "--output", help="result file (default stdout)")
     cmd.set_defaults(func=_cmd_simulate)
 

@@ -2,9 +2,11 @@
 
 Mirrors the uncompressed engine, but candidate sets hold grammar path
 suffixes instead of node ids: a suffix stands for every decompressed node
-whose full derivation path ends with it. Predecessor lookup works on the
-grammar's edge pairs alone, and set subtraction splits a suffix into
-longer ones until the parts to drop become syntactic.
+whose full derivation path ends with it. Both modes share one core:
+predecessor lookup walks a trie over the edge pairs' right sides, cached
+per grammar, and set subtraction walks a trie over the removal suffixes,
+splitting a suffix into longer ones until the parts to drop become
+syntactic. Optimized mode adds deferred removals and re-coalescing.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .graph import PatternGraph
 from .grammar import GraphGrammar, PathMap, represented_node_union
-from .suffix import GrammarPathSuffix, SuffixSet, bare, is_suffix_of, remove_subsumed
+from .suffix import GrammarPathSuffix, SuffixSet, bare, remove_subsumed
 
 
 @dataclass(frozen=True)
@@ -49,96 +51,18 @@ class SimulationResult:
         return dict(self.candidates) == dict(other.candidates)
 
 
-def _raw_predecessors(pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]],
-                      s: GrammarPathSuffix) -> list[GrammarPathSuffix]:
-    # Both branches apply when s equals a right side; dedup happens in the
-    # caller's set construction, never subsumption removal.
-    out = []
-    n = len(s.steps)
-    for left, right in pairs:
-        if is_suffix_of(s, right):
-            out.append(left)
-        if is_suffix_of(right, s):
-            out.append(left.prepend(s.steps[:n - len(right.steps)]))
-    return out
-
-
-def predecessor_suffixes_of(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
-    """Suffix-level predecessors of one suffix, deduplicated only.
-
-    An edge pair (l, r) contributes l whenever `s` covers r (s is a
-    suffix of r), and contributes l re-anchored under s's extra prefix
-    whenever r covers `s`.
-
-    Raises:
-        ValueError: if `s` does not fit the grammar.
-    """
-    gg.ensure_valid()
-    err = gg.suffix_violation(s)
-    if err:
-        raise ValueError(err)
-    return SuffixSet(_raw_predecessors(gg.edge_pairs, s))
-
-
-def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffix]) -> SuffixSet:
-    """Suffix-level predecessors of a whole set, subsumption-reduced.
-
-    The represented node set equals the graph predecessors of the
-    represented nodes of `candidates`, and the result elements represent
-    pairwise disjoint node sets.
-    """
-    gg.ensure_valid()
-    out: list[GrammarPathSuffix] = []
-    for s in candidates:
-        err = gg.suffix_violation(s)
-        if err:
-            raise ValueError(err)
-        out.extend(_raw_predecessors(gg.edge_pairs, s))
-    return remove_subsumed(out)
-
-
-def _difference(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
-                removes: tuple[GrammarPathSuffix, ...]) -> SuffixSet:
-    out = []
-    stack = list(items)
-    stack.reverse()
-    while stack:
-        ext = stack.pop()
-        dropped = False
-        for rem in removes:
-            if is_suffix_of(rem, ext):
-                dropped = True
-                break
-        if dropped:
-            continue
-        n = len(ext.steps)
-        split = False
-        for rem in removes:
-            if n < len(rem.steps) and is_suffix_of(ext, rem):
-                split = True
-                break
-        if split:
-            # Replace ext by its one-step extensions; each either leaves
-            # the removal set's shadow or gets dropped a round later.
-            stack.extend(reversed(gg.extensions(ext)))
-        else:
-            out.append(ext)
-    return SuffixSet(out)
-
-
-_EXACT = object()  # trie key marking "a suffix ends here"
-
-_KEEP, _DROP, _SPLIT = 0, 1, 2
+_EXACT = object()  # trie key under which a removal suffix ends
 
 
 class _RemovalIndex:
     """Removal suffixes as per-terminal tries over reversed steps.
 
-    One walk from the end of a candidate's steps answers both questions
-    the pairwise scans in _difference ask: passing a node where a removal
-    ends means the removal is a suffix of the candidate (drop); running
-    out of candidate steps at a node with deeper children means some
-    removal strictly extends the candidate (split)."""
+    Walking a candidate's steps from the end decides it: passing a node
+    where a removal ends means the removal is a suffix of the candidate
+    (drop); falling off the trie means no removal touches it (keep);
+    running out of steps inside the trie means every removal below
+    strictly extends it (split). A one-step extension of a split
+    candidate continues the walk one child down."""
 
     __slots__ = ("_roots",)
 
@@ -148,25 +72,60 @@ class _RemovalIndex:
             node = roots.setdefault(rem.terminal, {})
             for step in reversed(rem.steps):
                 node = node.setdefault(step, {})
-            node[_EXACT] = True
+            node[_EXACT] = rem
         self._roots = roots
 
-    def classify(self, ext: GrammarPathSuffix) -> int:
+    def locate(self, ext: GrammarPathSuffix) -> dict | None:
+        """None to keep `ext`, a node holding _EXACT to drop it, else the
+        node to split it at."""
         node = self._roots.get(ext.terminal)
-        if node is None:
-            return _KEEP
-        if _EXACT in node:
-            return _DROP
         steps = ext.steps
-        for position in range(len(steps) - 1, -1, -1):
+        position = len(steps)
+        while node is not None and position and _EXACT not in node:
+            position -= 1
             node = node.get(steps[position])
-            if node is None:
-                return _KEEP
-            if _EXACT in node:
-                return _DROP
-        # a removal ending exactly here would have dropped above, so any
-        # remaining key is a strictly deeper removal
-        return _SPLIT if node else _KEEP
+        return node
+
+
+def _ends_below(node: dict) -> Iterator[GrammarPathSuffix]:
+    """The shallowest removals in the subtree of a split node."""
+    stack = list(node.values())
+    while stack:
+        child = stack.pop()
+        if _EXACT in child:
+            yield child[_EXACT]
+        else:
+            stack.extend(child.values())
+
+
+def _leaves(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
+            index: _RemovalIndex, inside: bool) -> Iterator[GrammarPathSuffix]:
+    """The parts of `items` outside the index's suffixes, or inside them
+    when `inside` is set. A part some removal strictly extends is split
+    into its one-step extensions, each of which either leaves the
+    removals' shadow or is covered a round later; its inside parts are
+    exactly the removals below it."""
+    stack = [(s, index.locate(s)) for s in items]
+    stack.reverse()
+    while stack:
+        ext, node = stack.pop()
+        if node is None:
+            if not inside:
+                yield ext
+        elif _EXACT in node:
+            if inside:
+                yield ext
+        elif inside:
+            yield from _ends_below(node)
+        else:
+            stack.extend(reversed([(child, node.get(child.steps[0]))
+                                   for child in gg.extensions(ext)]))
+
+
+def _has_uncovered(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
+                   index: _RemovalIndex) -> bool:
+    """True if some node of `items` is outside the index's suffixes."""
+    return next(_leaves(gg, items, index, False), None) is not None
 
 
 def _coalesce(gg: GraphGrammar, items: Iterable[GrammarPathSuffix]) -> list[GrammarPathSuffix]:
@@ -202,61 +161,9 @@ def _apply_removal_pair(gg: GraphGrammar, cand: SuffixSet,
                         old_index: _RemovalIndex, new_index: _RemovalIndex) -> SuffixSet:
     # cand minus (old_pre \ new_pre), rewritten as (cand \ old_pre) union
     # (cand intersect new_pre) so the removal set itself is never built.
-    kept: list[GrammarPathSuffix] = []
-    stack = list(cand)
-    stack.reverse()
-    while stack:
-        ext = stack.pop()
-        verdict = old_index.classify(ext)
-        if verdict == _DROP:
-            continue
-        if verdict == _SPLIT:
-            stack.extend(reversed(gg.extensions(ext)))
-        else:
-            kept.append(ext)
-    stack = list(cand)
-    stack.reverse()
-    while stack:
-        ext = stack.pop()
-        verdict = new_index.classify(ext)
-        if verdict == _DROP:  # covered by a kept predecessor suffix
-            kept.append(ext)
-        elif verdict == _SPLIT:
-            stack.extend(reversed(gg.extensions(ext)))
+    kept = list(_leaves(gg, cand, old_index, False))
+    kept.extend(_leaves(gg, cand, new_index, True))
     return SuffixSet(_coalesce(gg, remove_subsumed(kept)))
-
-
-def _has_uncovered(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
-                   index: _RemovalIndex) -> bool:
-    """True if some node of `items` is outside the index's suffixes."""
-    stack = list(items)
-    while stack:
-        ext = stack.pop()
-        verdict = index.classify(ext)
-        if verdict == _DROP:
-            continue
-        if verdict == _SPLIT:
-            stack.extend(gg.extensions(ext))
-        else:
-            return True
-    return False
-
-
-def suffix_set_difference(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
-                          removes: Iterable[GrammarPathSuffix]) -> SuffixSet:
-    """Candidates minus removals, computed on suffixes.
-
-    Drops every element covered by a removal suffix, and splits elements
-    that cover a longer removal suffix into their one-step extensions
-    until the overlap becomes syntactic. The represented node set of the
-    result is exactly items' nodes minus removes' nodes.
-    """
-    gg.ensure_valid()
-    for s in list(items) + list(removes):
-        err = gg.suffix_violation(s)
-        if err:
-            raise ValueError(err)
-    return _difference(gg, SuffixSet(items), tuple(SuffixSet(removes)))
 
 
 class _PredNode:
@@ -317,14 +224,10 @@ class _PredecessorIndex:
         return tuple(out)
 
 
-# grammars are immutable, so the tries and the per-suffix and per-set
-# lookups survive across runs on the same grammar (the plain-graph
-# engine's predecessor index is likewise retained by its LabeledGraph)
-_INDEX_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-class _OptimizedState:
-    """Caches shared by every optimized run on one grammar."""
+class _GrammarState:
+    """Simulation caches for one grammar value: the right-side trie, its
+    lookups per suffix and, for optimized runs, the coalesced predecessor
+    set per candidate set."""
 
     __slots__ = ("index", "contrib", "pre_sets")
 
@@ -333,47 +236,89 @@ class _OptimizedState:
         self.contrib: dict[GrammarPathSuffix, tuple[GrammarPathSuffix, ...]] = {}
         self.pre_sets: dict[SuffixSet, tuple[SuffixSet, _RemovalIndex]] = {}
 
+    def lookup(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
+        found = self.contrib.get(s)
+        if found is None:
+            found = self.index.lookup(s)
+            self.contrib[s] = found
+        return found
 
-class _Engine:
-    """Per-run state: plain mode scans edge pairs pairwise; optimized
-    mode walks a right-side trie and memoizes lookups per suffix and,
-    with the covering trie, per whole candidate set."""
-
-    def __init__(self, gg: GraphGrammar, optimized: bool):
-        self.gg = gg
-        self.optimized = optimized
-        if optimized:
-            state = _INDEX_CACHE.get(gg)
-            if state is None:
-                state = _OptimizedState(gg)
-                _INDEX_CACHE[gg] = state
-            self.state = state
-        else:
-            self.pairs = gg.edge_pairs
-
-    def predecessors_of(self, sset: SuffixSet) -> SuffixSet:
+    def predecessors(self, sset: Iterable[GrammarPathSuffix]) -> SuffixSet:
         out: list[GrammarPathSuffix] = []
         for s in sset:
-            out.extend(_raw_predecessors(self.pairs, s))
+            out.extend(self.lookup(s))
         return remove_subsumed(out)
 
-    def predecessors_with_index(self, sset: SuffixSet) -> tuple[SuffixSet, _RemovalIndex]:
-        state = self.state
-        cached = state.pre_sets.get(sset)
-        if cached is not None:
-            return cached
-        contrib = state.contrib
-        out: list[GrammarPathSuffix] = []
-        for s in sset:
-            found = contrib.get(s)
-            if found is None:
-                found = state.index.lookup(s)
-                contrib[s] = found
-            out.extend(found)
-        pre = SuffixSet(_coalesce(self.gg, remove_subsumed(out)))
-        result = (pre, _RemovalIndex(pre))
-        state.pre_sets[sset] = result
-        return result
+    def coalesced_predecessors(self, gg: GraphGrammar,
+                               sset: SuffixSet) -> tuple[SuffixSet, _RemovalIndex]:
+        cached = self.pre_sets.get(sset)
+        if cached is None:
+            pre = SuffixSet(_coalesce(gg, self.predecessors(sset)))
+            cached = (pre, _RemovalIndex(pre))
+            self.pre_sets[sset] = cached
+        return cached
+
+
+# grammars are immutable, so the state survives across runs (the
+# plain-graph engine's predecessor index is likewise retained by its
+# LabeledGraph); keyed by value, equal grammars share one state, and each
+# lookup runs GraphGrammar.__eq__, linear in the edge pairs
+_INDEX_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _state(gg: GraphGrammar) -> _GrammarState:
+    state = _INDEX_CACHE.get(gg)
+    if state is None:
+        state = _INDEX_CACHE[gg] = _GrammarState(gg)
+    return state
+
+
+def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
+    gg.ensure_valid()
+    for s in suffixes:
+        err = gg.suffix_violation(s)
+        if err:
+            raise ValueError(err)
+
+
+def predecessor_suffixes_of(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
+    """Suffix-level predecessors of one suffix, deduplicated only.
+
+    An edge pair (l, r) contributes l whenever `s` covers r (s is a
+    suffix of r), and contributes l re-anchored under s's extra prefix
+    whenever r covers `s`.
+
+    Raises:
+        ValueError: if `s` does not fit the grammar.
+    """
+    _check_fit(gg, [s])
+    return SuffixSet(_state(gg).lookup(s))
+
+
+def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffix]) -> SuffixSet:
+    """Suffix-level predecessors of a whole set, subsumption-reduced.
+
+    The represented node set equals the graph predecessors of the
+    represented nodes of `candidates`, and the result elements represent
+    pairwise disjoint node sets.
+    """
+    candidates = list(candidates)
+    _check_fit(gg, candidates)
+    return _state(gg).predecessors(candidates)
+
+
+def suffix_set_difference(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
+                          removes: Iterable[GrammarPathSuffix]) -> SuffixSet:
+    """Candidates minus removals, computed on suffixes.
+
+    Drops every element covered by a removal suffix, and splits elements
+    that cover a longer removal suffix into their one-step extensions
+    until the overlap becomes syntactic. The represented node set of the
+    result is exactly items' nodes minus removes' nodes.
+    """
+    items, removes = list(items), list(removes)
+    _check_fit(gg, items + removes)
+    return SuffixSet(_leaves(gg, items, _RemovalIndex(removes), False))
 
 
 def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
@@ -383,13 +328,13 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
     """Greatest simulation of `pattern` in the graph `gg` denotes.
 
     Same sharpening loop and FIFO policy as simulate_on_graph, with all
-    node sets replaced by suffix sets. With optimized=True, predecessor
-    lookups are memoized over terminal-indexed edge pairs, removals are
-    deferred as (before, after) predecessor snapshots and applied when
-    the target node is next inspected, and sets are re-coalesced to the
-    shallowest equivalent suffixes; the expanded result is identical,
-    the syntactic suffix sets need not be. Iteration snapshots are only
-    emitted in plain mode.
+    node sets replaced by suffix sets. Both modes take predecessors from
+    the same trie index, whose lookups are kept per grammar value across
+    runs. With optimized=True, removals are deferred as (before, after)
+    predecessor snapshots and applied when the target node is next
+    inspected, and sets are re-coalesced to the shallowest equivalent
+    suffixes; the expanded result is identical, the syntactic suffix
+    sets need not be. Iteration snapshots are only emitted in plain mode.
 
     Raises:
         GrammarValidationError: if the grammar is invalid.
@@ -402,7 +347,7 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
     if gg.node_count() == 0:
         raise ValueError("grammar denotes an empty graph")
 
-    engine = _Engine(gg, optimized)
+    state = _state(gg)
     all_terminals = SuffixSet(bare(t) for t in gg.terminals)
     empty = SuffixSet()
     candidates = {u: SuffixSet([bare(pattern.label(u))]) if pattern.label(u) in gg.terminals
@@ -438,7 +383,7 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
             if candidates[u] == previous[u]:
                 continue
             previous[u] = candidates[u]
-            pre_u, pre_index = engine.predecessors_with_index(candidates[u])
+            pre_u, pre_index = state.coalesced_predecessors(gg, candidates[u])
             # enqueue only on a real predecessor loss; a reshaped but
             # node-equal pre set must not keep the queue alive
             if pattern_pred[u] and _has_uncovered(gg, prev_pre[u][0], pre_index):
@@ -457,10 +402,11 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
             if candidates[u] == previous[u]:
                 continue
             previous[u] = candidates[u]
-            pre_u = engine.predecessors_of(candidates[u])
-            removed = _difference(gg, previous_pre[u], tuple(pre_u))
+            pre_u = state.predecessors(candidates[u])
+            removed = SuffixSet(_leaves(gg, previous_pre[u], _RemovalIndex(pre_u), False))
+            removed_index = _RemovalIndex(removed)
             for u2 in pattern_pred[u]:
-                narrowed = _difference(gg, candidates[u2], tuple(removed))
+                narrowed = SuffixSet(_leaves(gg, candidates[u2], removed_index, False))
                 if narrowed != candidates[u2]:
                     candidates[u2] = narrowed
                     if u2 not in queued:

@@ -66,6 +66,33 @@ def test_simulate_optimized_expands_the_same(capsys):
     assert code == 0 and fast == plain
 
 
+def test_simulate_expand_prints_the_compressed_graphs_ids(tmp_path, capsys):
+    graph = tmp_path / "g.el"
+    graph.write_text("10 c\n20 d\n30 c\n40 d\n10 20\n20 10\n30 40\n40 30\n")
+    gg_path = tmp_path / "g.gg"
+    assert run(capsys, "compress", "-i", str(graph), "-o", str(gg_path))[0] == 0
+    for mode in ((), ("--optimized",)):
+        code, out, err = run(capsys, "simulate", "--grammar", str(gg_path),
+                             "--pattern", CD_EL, "--expand", *mode)
+        assert (code, out) == (0, "1 10\n1 30\n2 20\n2 40\n")
+
+
+def test_simulate_expand_with_incomplete_map_is_a_data_error(tmp_path, capsys):
+    gg_path = tmp_path / "fig1.gg"
+    gg_path.write_text(Path(FIG1_GG).read_text())
+    code, out, err = run(capsys, "decompress", "-i", str(gg_path),
+                         "--map", str(tmp_path / "fig1.gg.map"))
+    assert code == 0
+    map_path = tmp_path / "fig1.gg.map"
+    lines = map_path.read_text().splitlines()
+    map_path.write_text("\n".join(line for line in lines
+                                   if line != "S/3:CDCD/1:CD/1:c 6") + "\n")
+    code, out, err = run(capsys, "simulate", "--grammar", str(gg_path),
+                         "--pattern", CD_EL, "--expand")
+    assert code == 2 and out == ""
+    assert "fig1.gg.map has no node for path S/3:CDCD/1:CD/1:c" in err
+
+
 def test_simulate_baseline_graph(capsys):
     code, out, err = run(capsys, "simulate", "--graph", FIG1_EL, "--pattern", CD_EL)
     assert (code, out) == (0, "1 6\n2 7\n")

@@ -8,7 +8,7 @@ from gramsim import (GrammarValidationError, SimulationResult, SuffixSet, bare,
                      predecessor_suffixes, predecessor_suffixes_of,
                      represented_node_union, simulate_on_graph,
                      simulate_on_grammar, suffix_set_difference)
-from gramsim.simulate import _coalesce, _has_uncovered, _RemovalIndex
+from gramsim.simulate import _coalesce, _has_uncovered, _leaves, _RemovalIndex
 
 from .conftest import seeded_case
 
@@ -170,8 +170,13 @@ def test_difference_rep_identity_on_random_sets():
             b = rng.sample(pool, min(len(pool), rng.randint(1, 5)))
             got = suffix_set_difference(gg, a, b)
             assert rep(gg, got) == rep(gg, a) - rep(gg, b)
+            inside = list(_leaves(gg, a, _RemovalIndex(b), True))
+            assert rep(gg, inside) == rep(gg, a) & rep(gg, b)
             pre = predecessor_suffixes(gg, a)
             assert rep(gg, pre) == predecessors(plain_graph, rep(gg, a))
+            for s in a:
+                assert (rep(gg, predecessor_suffixes_of(gg, s))
+                        == predecessors(plain_graph, rep(gg, [s])))
 
 
 # ---- internal helpers the optimized loop is built on ----
