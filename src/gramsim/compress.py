@@ -36,6 +36,14 @@ class WorkGraph:
     the path from the current node down to the original terminal node it
     attaches to (the bare label for an unmerged node). Replacing a digram
     merges node pairs and grows those paths.
+
+    Paths are hash-consed into int ids (`paths[i]` is path i, `path_ids`
+    maps it back): the intern table maps (step, id) to the id of that path
+    with `step` in front, so each distinct path is built once, and
+    `node_paths`, `edges` and the `by_digram` keys hold ints. The table
+    belongs to the run; clones share it, as ids are only ever added, and
+    it is freed with the last of them. `digram_census` and
+    `replace_digram` translate by value, so any equal suffix is a key.
     """
 
     def __init__(self, graph: LabeledGraph | None):
@@ -44,35 +52,44 @@ class WorkGraph:
         if len(graph) == 0:
             raise ValueError("cannot compress an empty graph")
         self.labels: dict[int, str] = dict(graph.nodes)
+        self.terminals: frozenset[str] = graph.label_set()
+        self.paths: list[GrammarPathSuffix] = []
+        self.path_ids: dict[GrammarPathSuffix, int] = {}
+        self.interned: dict[tuple[tuple[str, int], int], int] = {}
+        bares = {label: self.path_id(bare(label)) for label in sorted(self.terminals)}
         # original node represented by each (node, path-under-node)
-        self.node_paths: dict[int, dict[GrammarPathSuffix, int]] = {
-            nid: {bare(label): nid} for nid, label in graph.nodes}
-        self.edges: dict[int, tuple[int, GrammarPathSuffix, int, GrammarPathSuffix]] = {}
+        self.node_paths: dict[int, dict[int, int]] = {
+            nid: {bares[label]: nid} for nid, label in graph.nodes}
+        self.edges: dict[int, tuple[int, int, int, int]] = {}
         self.touching: dict[int, set[int]] = {nid: set() for nid in self.labels}
-        self.by_digram: dict[tuple[GrammarPathSuffix, GrammarPathSuffix], set[int]] = {}
+        # digram key -> its non-loop edges as (src, dst, eid); an edge's
+        # endpoints only change when it moves to another key
+        self.by_digram: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
         self.rules: list[Rule] = []
         self.rule_pairs: list[tuple[GrammarPathSuffix, GrammarPathSuffix]] = []
         self.max_ordinal = max(self.labels)
         for eid, (src, dst) in enumerate(sorted(graph.edges)):
-            record = (src, bare(graph.label(src)), dst, bare(graph.label(dst)))
+            record = (src, bares[self.labels[src]], dst, bares[self.labels[dst]])
             self.edges[eid] = record
             self.touching[src].add(eid)
             self.touching[dst].add(eid)
             if src != dst:
-                self.by_digram.setdefault((record[1], record[3]), set()).add(eid)
-        self.next_edge_id = len(self.edges)
+                self.by_digram.setdefault((record[1], record[3]), set()).add((src, dst, eid))
 
     def clone(self) -> "WorkGraph":
         other = WorkGraph(None)
         other.labels = dict(self.labels)
+        other.terminals = self.terminals
+        other.paths = self.paths
+        other.path_ids = self.path_ids
+        other.interned = self.interned
         other.node_paths = {nid: dict(paths) for nid, paths in self.node_paths.items()}
         other.edges = dict(self.edges)
         other.touching = {nid: set(eids) for nid, eids in self.touching.items()}
-        other.by_digram = {key: set(eids) for key, eids in self.by_digram.items()}
+        other.by_digram = {key: set(entries) for key, entries in self.by_digram.items()}
         other.rules = list(self.rules)
         other.rule_pairs = list(self.rule_pairs)
         other.max_ordinal = self.max_ordinal
-        other.next_edge_id = self.next_edge_id
         return other
 
     @property
@@ -81,21 +98,43 @@ class WorkGraph:
 
     @property
     def work_edges(self) -> frozenset[tuple[int, GrammarPathSuffix, int, GrammarPathSuffix]]:
-        return frozenset(self.edges.values())
+        paths = self.paths
+        return frozenset((src, paths[sp], dst, paths[dp])
+                         for src, sp, dst, dp in self.edges.values())
 
     def size(self) -> int:
         # grammar size if we stopped now: every rule body is 2 nodes
         return len(self.labels) + len(self.edges) + 3 * len(self.rules)
 
-    def _occurrences(self, key: tuple[GrammarPathSuffix, GrammarPathSuffix]) -> list[int]:
+    def path_id(self, path: GrammarPathSuffix) -> int:
+        """The id of `path`, given a fresh one if this run has not seen it."""
+        pid = self.path_ids.get(path)
+        if pid is None:
+            pid = self.path_ids[path] = len(self.paths)
+            self.paths.append(path)
+        return pid
+
+    def _extend(self, step: tuple[str, int], pid: int) -> int:
+        """The id of path `pid` with `step` in front, built on first request."""
+        key = (step, pid)
+        out = self.interned.get(key)
+        if out is None:
+            out = self.interned[key] = self.path_id(self.paths[pid].prepend((step,)))
+        return out
+
+    def digram(self, key: tuple[int, int]) -> Digram:
+        return Digram(self.paths[key[0]], self.paths[key[1]])
+
+    def _occurrences(self, key: tuple[int, int]) -> list[int]:
         """Greedy maximal node-disjoint occurrence set, ascending (src, dst)."""
         bucket = self.by_digram.get(key)
         if not bucket:
             return []
         used: set[int] = set()
         out: list[int] = []
-        for eid in sorted(bucket, key=lambda e: (self.edges[e][0], self.edges[e][2])):
-            src, _, dst, _ = self.edges[eid]
+        # (src, dst) is unique within a bucket: a path under a node names
+        # one original node, and original edges are distinct pairs
+        for src, dst, eid in sorted(bucket):
             if src in used or dst in used:
                 continue
             used.add(src)
@@ -103,26 +142,28 @@ class WorkGraph:
             out.append(eid)
         return out
 
-    def count_nonoverlapping(self, key: tuple[GrammarPathSuffix, GrammarPathSuffix]) -> int:
+    def count_nonoverlapping(self, key: tuple[int, int]) -> int:
         return len(self._occurrences(key))
 
-    def replace(self, key: tuple[GrammarPathSuffix, GrammarPathSuffix], fresh_name: str
-                ) -> set[tuple[GrammarPathSuffix, GrammarPathSuffix]]:
+    def replace(self, key: tuple[int, int], fresh_name: str) -> set[tuple[int, int]]:
         """Replace all counted occurrences of `key` by fresh_name nodes.
 
         Returns every digram key whose edge bucket changed. Requires a
         non-overlapping count of at least 2.
         """
+        digram = self.digram(key)
         occurrences = self._occurrences(key)
         if len(occurrences) < 2:
-            raise ValueError(f"digram ({key[0]}, {key[1]}) has non-overlapping count "
+            raise ValueError(f"digram {digram} has non-overlapping count "
                              f"{len(occurrences)}, need at least 2")
-        src_path, dst_path = key
-        self.rules.append(Rule(fresh_name, ((1, src_path.first_label), (2, dst_path.first_label))))
-        first = ((fresh_name, 1),)
-        second = ((fresh_name, 2),)
-        self.rule_pairs.append((src_path.prepend(first), dst_path.prepend(second)))
-        affected: set[tuple[GrammarPathSuffix, GrammarPathSuffix]] = set()
+        self.rules.append(Rule(fresh_name, ((1, digram.source_path.first_label),
+                                            (2, digram.target_path.first_label))))
+        first = (fresh_name, 1)
+        second = (fresh_name, 2)
+        extend = self._extend
+        self.rule_pairs.append((self.paths[extend(first, key[0])],
+                                self.paths[extend(second, key[1])]))
+        affected: set[tuple[int, int]] = set()
         for eid in occurrences:
             v1, _, v2, _ = self.edges[eid]
             self._drop_edge(eid, affected)
@@ -130,19 +171,19 @@ class WorkGraph:
             self.max_ordinal = n
             self.labels[n] = fresh_name
             self.touching[n] = set()
-            merged: dict[GrammarPathSuffix, int] = {}
+            merged: dict[int, int] = {}
             for path, original in self.node_paths.pop(v1).items():
-                merged[path.prepend(first)] = original
+                merged[extend(first, path)] = original
             for path, original in self.node_paths.pop(v2).items():
-                merged[path.prepend(second)] = original
+                merged[extend(second, path)] = original
             self.node_paths[n] = merged
-            for old, prefix in ((v1, first), (v2, second)):
+            for old, step in ((v1, first), (v2, second)):
                 for other_eid in list(self.touching[old]):
                     src, sp, dst, dp = self.edges[other_eid]
                     if src == old:
-                        src, sp = n, sp.prepend(prefix)
+                        src, sp = n, extend(step, sp)
                     if dst == old:
-                        dst, dp = n, dp.prepend(prefix)
+                        dst, dp = n, extend(step, dp)
                     self._rekey_edge(other_eid, (src, sp, dst, dp), affected)
                 del self.touching[old]
                 del self.labels[old]
@@ -155,50 +196,40 @@ class WorkGraph:
         if src != dst:
             key = (sp, dp)
             bucket = self.by_digram[key]
-            bucket.discard(eid)
-            if bucket:
-                affected.add(key)
-            else:
+            bucket.discard((src, dst, eid))
+            if not bucket:
                 del self.by_digram[key]
-                affected.add(key)
+            affected.add(key)
 
     def _rekey_edge(self, eid: int, record, affected: set) -> None:
-        old_src, old_sp, old_dst, old_dp = self.edges[eid]
-        if old_src != old_dst:
-            old_key = (old_sp, old_dp)
-            bucket = self.by_digram[old_key]
-            bucket.discard(eid)
-            if not bucket:
-                del self.by_digram[old_key]
-            affected.add(old_key)
-        self.touching[old_src].discard(eid)
-        self.touching[old_dst].discard(eid)
+        self._drop_edge(eid, affected)
         src, sp, dst, dp = record
         self.edges[eid] = record
         self.touching[src].add(eid)
         self.touching[dst].add(eid)
         if src != dst:
             new_key = (sp, dp)
-            self.by_digram.setdefault(new_key, set()).add(eid)
+            self.by_digram.setdefault(new_key, set()).add((src, dst, eid))
             affected.add(new_key)
 
     def to_grammar(self, terminals: Iterable[str], start_name: str
                    ) -> tuple[GraphGrammar, PathMap]:
         """Freeze the current state: survivors become the start rule."""
+        paths = self.paths
         survivors = sorted(self.labels)
         dense = {nid: i for i, nid in enumerate(survivors, start=1)}
         body = tuple((dense[nid], self.labels[nid]) for nid in survivors)
         rules = self.rules + [Rule(start_name, body)]
         pairs = list(self.rule_pairs)
         for src, sp, dst, dp in self.edges.values():
-            pairs.append((sp.prepend(((start_name, dense[src]),)),
-                          dp.prepend(((start_name, dense[dst]),))))
+            pairs.append((paths[sp].prepend(((start_name, dense[src]),)),
+                          paths[dp].prepend(((start_name, dense[dst]),))))
         grammar = GraphGrammar(terminals, rules, start_name, pairs)
         entries = []
         for nid in survivors:
             step = ((start_name, dense[nid]),)
             for path, original in self.node_paths[nid].items():
-                entries.append((path.prepend(step), original))
+                entries.append((paths[path].prepend(step), original))
         return grammar, PathMap(entries)
 
 
@@ -217,7 +248,7 @@ def digram_census(wg: WorkGraph) -> dict[Digram, int]:
     for key in wg.by_digram:
         count = wg.count_nonoverlapping(key)
         if count:
-            out[Digram(*key)] = count
+            out[wg.digram(key)] = count
     return out
 
 
@@ -226,12 +257,13 @@ def replace_digram(wg: WorkGraph, digram: Digram, fresh_name: str) -> WorkGraph:
 
     Raises:
         ValueError: if the digram's non-overlapping count is below 2, or
-            fresh_name is already a label in use.
+            fresh_name is a terminal or an existing rule's name.
     """
-    if fresh_name in wg.labels.values() or any(r.name == fresh_name for r in wg.rules):
+    if fresh_name in wg.terminals or any(r.name == fresh_name for r in wg.rules):
         raise ValueError(f"fresh name {fresh_name} already in use")
     clone = wg.clone()
-    clone.replace((digram.source_path, digram.target_path), fresh_name)
+    clone.replace((clone.path_id(digram.source_path), clone.path_id(digram.target_path)),
+                  fresh_name)
     return clone
 
 
@@ -266,22 +298,27 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
     """
     if min_count < 2:
         raise ValueError("min_count below 2 would allow size-increasing replacements")
-    terminals = graph.label_set()
-    start_name, fresh_names = _allocate_names(terminals)
     wg = WorkGraph(graph)
+    terminals = wg.terminals
+    start_name, fresh_names = _allocate_names(terminals)
 
     # Lazy max-heap over digram counts. Entries may be optimistic upper
     # bounds (raw bucket size) for keys touched since their last exact
     # count; exact[key] is None for those. Every live key always has a
     # heap entry at least as large as its true count, so the first popped
     # entry that matches a current exact count is the true maximum.
-    exact: dict[tuple, int | None] = {}
-    heap: list[tuple[int, str, str, tuple]] = []
+    exact: dict[tuple[int, int], int | None] = {}
+    heap: list[tuple[int, str, str, tuple[int, int]]] = []
+    paths = wg.paths
+
+    def entry(count: int, key: tuple[int, int]) -> tuple[int, str, str, tuple[int, int]]:
+        return (-count, str(paths[key[0]]), str(paths[key[1]]), key)
+
     for key in wg.by_digram:
         count = wg.count_nonoverlapping(key)
         exact[key] = count
         if count >= min_count:
-            heap.append((-count, str(key[0]), str(key[1]), key))
+            heap.append(entry(count, key))
     heapq.heapify(heap)
 
     while heap:
@@ -295,7 +332,7 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
             count = wg.count_nonoverlapping(key)
             exact[key] = count
             if count >= min_count:
-                heapq.heappush(heap, (-count, str(key[0]), str(key[1]), key))
+                heapq.heappush(heap, entry(count, key))
             continue
         if current < min_count:
             continue
@@ -307,7 +344,7 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
                 exact.pop(touched, None)
                 continue
             exact[touched] = None
-            heapq.heappush(heap, (-len(bucket), str(touched[0]), str(touched[1]), touched))
+            heapq.heappush(heap, entry(len(bucket), touched))
 
     return wg.to_grammar(terminals, start_name)
 

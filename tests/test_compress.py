@@ -1,11 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from gramsim import (Digram, bare, compress, compression_ratio, decompress,
-                     digram_census, format_grammar, graphs_isomorphic_under_map,
-                     initial_work_graph, load_graph, parse_suffix,
-                     replace_digram, size_metrics)
+from gramsim import (Digram, GraphGenParams, bare, compress, compression_ratio,
+                     decompress, digram_census, format_grammar, format_path_map,
+                     gen_graph, graphs_isomorphic_under_map, initial_work_graph,
+                     load_graph, parse_suffix, replace_digram, size_metrics)
 
 from .conftest import random_soup, seeded_case
 
@@ -62,6 +63,39 @@ def test_replace_digram_rejects_bad_inputs(fig1_graph):
     wg2 = replace_digram(wg, Digram(bare("c"), bare("d")), "X")
     with pytest.raises(ValueError):
         replace_digram(wg2, Digram(parse_suffix("X/2:d"), parse_suffix("X/1:c")), "X")
+    # a terminal stays taken after its last work node has been merged away
+    g = load_graph("1 c\n2 d\n3 c\n4 d\n5 c\n6 d\n7 c\n8 d\n"
+                   "1 2\n3 4\n5 6\n7 8\n2 4\n6 8\n")
+    merged = replace_digram(initial_work_graph(g), Digram(bare("c"), bare("d")), "X")
+    assert "c" not in merged.labels.values()
+    with pytest.raises(ValueError):
+        replace_digram(merged, Digram(parse_suffix("X/2:d"), parse_suffix("X/2:d")), "c")
+
+
+def work_state(wg):
+    return (wg.nodes, wg.work_edges, wg.size(), wg.rules, wg.rule_pairs, digram_census(wg))
+
+
+def test_value_equal_keys_act_like_census_keys(fig1_graph):
+    wg = replace_digram(initial_work_graph(fig1_graph), Digram(bare("c"), bare("d")), "X")
+    built = Digram(parse_suffix("X/2:d"), parse_suffix("X/1:c"))
+    census = digram_census(wg)
+    assert census[built] == 2
+    taken = next(d for d in census if d == built)
+    assert taken.source_path is not built.source_path
+    before = work_state(wg)
+    edges, node_paths = dict(wg.edges), {nid: dict(p) for nid, p in wg.node_paths.items()}
+    held = {pid for _, sp, _, dp in wg.edges.values() for pid in (sp, dp)}
+    held |= {pid for paths in wg.node_paths.values() for pid in paths}
+    shared = {pid: wg.paths[pid] for pid in held}
+    by_built = replace_digram(wg, built, "Y")
+    by_taken = replace_digram(wg, taken, "Y")
+    assert work_state(by_built) == work_state(by_taken)
+    assert by_built.node_paths == by_taken.node_paths
+    # the source is unchanged, down to the shared suffix objects it refers to
+    assert work_state(wg) == before
+    assert wg.edges == edges and wg.node_paths == node_paths
+    assert all(wg.paths[pid] is path for pid, path in shared.items())
 
 
 def test_compress_fig1_sizes(fig1_graph):
@@ -123,6 +157,29 @@ def test_repeated_chunks_compress_below_unity():
     gg, _ = compress(g)
     assert compression_ratio(g, gg) < 1.0
     assert_round_trip(g)
+
+
+# sha256 of format_grammar + format_path_map for compress on the benchmark's
+# reduced graph sizes: any change to the compressor's output shows here.
+GOLDEN = [
+    ((40, 50, 0.0, 1.25, 2, 1),
+     "c484bf3262ea35dd3d8915665b1d7c8a9bf1653aa2d8641357de2f1772c4862a"),
+    ((50, 40, 0.5, 2.0, 4, 1),
+     "7b8edca5e9785484296614827527a9358647a71343c156b1d83ba15f26b68414"),
+    ((16, 10, 0.5, 1.25, 2, 0),
+     "35968e0ef2dd5281398adfd45905af2e0870dacb63356995e017b61882ba4c0c"),
+    ((16, 10, 0.5, 1.25, 2, 1),
+     "e341de1ac6c46cc75bd3284bf705faab2a4c920d03e32270c8e23400c699d861"),
+    ((16, 10, 0.5, 1.25, 2, 2),
+     "e79f534538d4cebf1916365891441bc42571165bad2480f062693ab397f800fe"),
+]
+
+
+@pytest.mark.parametrize("params, digest", GOLDEN)
+def test_compress_output_is_pinned(params, digest):
+    gg, pm = compress(gen_graph(GraphGenParams(*params)))
+    text = format_grammar(gg) + format_path_map(pm)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_random_round_trips():
