@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .graph import LabeledGraph, valid_label
-from .suffix import GrammarPathSuffix, SuffixSet, parse_suffix
+from .suffix import GrammarPathSuffix, SuffixSet, _parse_suffix
 
 
 class GrammarFormatError(ValueError):
@@ -548,6 +548,8 @@ def parse_grammar(text: str) -> GraphGrammar:
     rules: list[Rule] = []
     rule_lines: dict[str, int] = {}
     pairs: list[tuple[GrammarPathSuffix, GrammarPathSuffix]] = []
+    step_memo: dict[str, tuple[str, int]] = {}
+    terminal_memo: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -597,7 +599,8 @@ def parse_grammar(text: str) -> GraphGrammar:
             if len(tokens) != 3:
                 raise GrammarFormatError(f"line {lineno}: EDGE expects two suffixes")
             try:
-                pairs.append((parse_suffix(tokens[1]), parse_suffix(tokens[2])))
+                pairs.append((_parse_suffix(tokens[1], step_memo, terminal_memo),
+                              _parse_suffix(tokens[2], step_memo, terminal_memo)))
             except ValueError as exc:
                 raise GrammarFormatError(f"line {lineno}: {exc}") from exc
         else:
@@ -629,7 +632,20 @@ def format_path_map(pm: PathMap) -> str:
 
 
 def parse_path_map(text: str) -> PathMap:
-    entries = []
+    """Parse `<path> <id>` lines, the output of format_path_map.
+
+    Each path is a full grammar path in suffix syntax and each id a
+    positive integer; `#` comments and blank lines are skipped. Whether the
+    paths fit a grammar is not checked.
+
+    Raises:
+        GrammarFormatError: on a malformed line, a malformed path, an id
+            below 1, or a path or id already seen, with the line number.
+    """
+    by_path: dict[GrammarPathSuffix, int] = {}
+    ids: set[int] = set()
+    step_memo: dict[str, tuple[str, int]] = {}
+    terminal_memo: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -642,7 +658,16 @@ def parse_path_map(text: str) -> PathMap:
         if len(tokens) != 2 or not tokens[1].isdigit():
             raise GrammarFormatError(f"line {lineno}: expected '<path> <id>'")
         try:
-            entries.append((parse_suffix(tokens[0]), int(tokens[1])))
+            path = _parse_suffix(tokens[0], step_memo, terminal_memo)
         except ValueError as exc:
             raise GrammarFormatError(f"line {lineno}: {exc}") from exc
-    return PathMap(entries)
+        nid = int(tokens[1])
+        if nid < 1:
+            raise GrammarFormatError(f"line {lineno}: node id must be positive, got {nid}")
+        if path in by_path:
+            raise GrammarFormatError(f"line {lineno}: duplicate path {path}")
+        if nid in ids:
+            raise GrammarFormatError(f"line {lineno}: duplicate node id {nid}")
+        by_path[path] = nid
+        ids.add(nid)
+    return PathMap(by_path.items())

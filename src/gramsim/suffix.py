@@ -93,28 +93,54 @@ def parse_suffix(text: str) -> GrammarPathSuffix:
             non-positive or non-numeric ordinal, or an invalid rule/terminal
             name.
     """
+    return _parse_suffix(text, {}, {})
+
+
+def _parse_suffix(text: str, step_memo: dict[str, tuple[str, int]],
+                  terminal_memo: dict[str, str]) -> GrammarPathSuffix:
+    # parse_suffix with the tokens already checked in this document: a
+    # repeated step or terminal token is one dict hit, and every suffix of
+    # the document shares its step tuples. Only tokens that passed every
+    # check enter a memo. Steps and terminals keep separate memos, since a
+    # valid step token is not a valid terminal. A suffix written the way it
+    # prints keeps its text, so str() need not rebuild it.
     if not text:
         raise SuffixFormatError("empty grammar path suffix")
     if not text.isascii():
         # names are ASCII; str.isdigit would also pass other scripts' digits
         raise SuffixFormatError(f"non-ASCII characters in suffix {text!r}")
-    parts = text.split(":")
+    *parts, terminal = text.split(":")
     steps = []
-    for part in parts[:-1]:
-        name, slash, ordinal = part.partition("/")
-        if not slash:
-            raise SuffixFormatError(f"step {part!r} has no '/' in suffix {text!r}")
-        if not valid_label(name):
-            raise SuffixFormatError(f"invalid rule name {name!r} in suffix {text!r}")
-        if not ordinal.isdigit() or int(ordinal) < 1:
-            raise SuffixFormatError(f"invalid ordinal {ordinal!r} in suffix {text!r}")
-        steps.append((name, int(ordinal)))
-    terminal = parts[-1]
-    if "/" in terminal:
-        raise SuffixFormatError(f"suffix {text!r} must end with a terminal label, not a step")
-    if not valid_label(terminal):
-        raise SuffixFormatError(f"invalid terminal {terminal!r} in suffix {text!r}")
-    return GrammarPathSuffix(tuple(steps), terminal)
+    canonical = True
+    for part in parts:
+        step = step_memo.get(part)
+        if step is None:
+            name, slash, ordinal = part.partition("/")
+            if not slash:
+                raise SuffixFormatError(f"step {part!r} has no '/' in suffix {text!r}")
+            if not valid_label(name):
+                raise SuffixFormatError(f"invalid rule name {name!r} in suffix {text!r}")
+            if not ordinal.isdigit() or int(ordinal) < 1:
+                raise SuffixFormatError(f"invalid ordinal {ordinal!r} in suffix {text!r}")
+            step = (name, int(ordinal))
+            if ordinal[0] == "0":
+                # "S/01" prints as "S/1"; kept out of the memo, so that a
+                # memo hit is always a step that prints as written
+                canonical = False
+            else:
+                step_memo[part] = step
+        steps.append(step)
+    checked = terminal_memo.get(terminal)
+    if checked is None:
+        if "/" in terminal:
+            raise SuffixFormatError(f"suffix {text!r} must end with a terminal label, not a step")
+        if not valid_label(terminal):
+            raise SuffixFormatError(f"invalid terminal {terminal!r} in suffix {text!r}")
+        checked = terminal_memo[terminal] = terminal
+    suffix = GrammarPathSuffix(tuple(steps), checked)
+    if canonical:
+        object.__setattr__(suffix, "_text", text)
+    return suffix
 
 
 def is_suffix_of(shorter: GrammarPathSuffix, longer: GrammarPathSuffix) -> bool:

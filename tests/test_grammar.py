@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramsim import (GrammarFormatError, GrammarValidationError, GraphGrammar,
-                     GraphGenParams, PathMap, Rule,
+                     GraphGenParams, PathMap, Rule, SuffixFormatError,
                      anchored_paths, compress, decompress, expand_by_node,
                      format_grammar, format_path_map, gen_graph,
                      one_step_extensions, parse_grammar, parse_path_map,
@@ -173,6 +173,78 @@ def test_path_map_rejects_duplicates():
         parse_path_map("a 1\na 2\n")
     with pytest.raises(GrammarFormatError):
         parse_path_map("a one\n")
+    for text, message in [
+        ("a 1\nb 1\n", "line 2: duplicate node id 1"),
+        ("a 1\na 2\n", "line 2: duplicate path a"),
+        ("S/1:a 1\nS/2:a 1\n", "line 2: duplicate node id 1"),
+        ("# header\n\nS/1:a 1\nS/2:a 2\nS/1:a 3\n", "line 5: duplicate path S/1:a"),
+        ("S/1:a 0\n", "line 1: node id must be positive, got 0"),
+        ("S/1:a 1\nS/2:a 00\n", "line 2: node id must be positive, got 0"),
+    ]:
+        with pytest.raises(GrammarFormatError) as err:
+            parse_path_map(text)
+        assert str(err.value) == message
+    # direct API callers keep PathMap's own error
+    with pytest.raises(ValueError, match="duplicate node id 1") as err:
+        PathMap([(bare("a"), 1), (bare("b"), 1)])
+    assert not isinstance(err.value, GrammarFormatError)
+
+
+# ---- the per-document token memo behind both parsers ----
+
+
+def test_a_step_token_is_not_a_terminal_once_seen_as_a_step():
+    message = "suffix 'S/2:S/1' must end with a terminal label, not a step"
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map("S/1:a 1\nS/2:S/1 2\n")
+    assert str(err.value) == f"line 2: {message}"
+    with pytest.raises(GrammarFormatError) as err:
+        parse_grammar("TERMINALS a\nSTART S\nRULE S => 1:a 2:a\nEDGE S/1:a S/2:S/1\n")
+    assert str(err.value) == f"line 4: {message}"
+
+
+def test_a_terminal_token_is_not_a_step_once_seen_as_a_terminal():
+    # 'a' is checked as a terminal on each of the first 200 lines; as a
+    # step on line 201 it still fails with that line's number
+    good = "".join(f"S/{i}:a {i}\n" for i in range(1, 201))
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map(good + "S/1:a:a 201\n")
+    assert str(err.value) == "line 201: step 'a' has no '/' in suffix 'S/1:a:a'"
+    head = "TERMINALS a\nSTART S\nRULE S => " + " ".join(f"{i}:a" for i in range(1, 201)) + "\n"
+    edges = "".join(f"EDGE S/{i}:a S/{i + 1}:a\n" for i in range(1, 200))
+    with pytest.raises(GrammarFormatError) as err:
+        parse_grammar(head + edges + "EDGE S/1:a S/2:a:a\n")
+    assert str(err.value) == "line 203: step 'a' has no '/' in suffix 'S/2:a:a'"
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("S/0:a", "invalid ordinal '0' in suffix 'S/0:a'"),
+    ("S/1:T/x:a", "invalid ordinal 'x' in suffix 'S/1:T/x:a'"),
+    ("S/1:T-1/1:a", "invalid rule name 'T-1' in suffix 'S/1:T-1/1:a'"),
+    ("S/1:b-", "invalid terminal 'b-' in suffix 'S/1:b-'"),
+])
+def test_a_bad_token_after_many_good_lines_reports_its_own_line(bad, message):
+    good = "".join(f"S/{i}:T/{i}:a {i}\n" for i in range(1, 301))
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map(good + f"{bad} 301\n")
+    assert str(err.value) == f"line 301: {message}"
+    assert type(err.value.__cause__) is SuffixFormatError
+
+
+def test_leading_zero_ordinals_parse_to_the_same_path():
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map("S/1:a 1\nS/01:a 2\n")
+    assert str(err.value) == "line 2: duplicate path S/1:a"
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map("S/01:a 1\nS/1:a 2\n")
+    assert str(err.value) == "line 2: duplicate path S/1:a"
+    pm = parse_path_map("S/01:T/010:a 1\nS/01:T/10:b 2\n")
+    assert [str(path) for path, _ in pm] == ["S/1:T/10:a", "S/1:T/10:b"]
+    assert format_path_map(pm) == "S/1:T/10:a 1\nS/1:T/10:b 2\n"
+    gg = parse_grammar("TERMINALS a\nSTART S\nRULE S => 1:a 2:a\nEDGE S/01:a S/2:a\n"
+                       "EDGE S/1:a S/02:a\n")
+    assert format_grammar(gg).endswith("\nEDGE S/1:a S/2:a\n")
+    assert gg.validate() == []
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -275,3 +347,111 @@ def test_path_map_does_not_keep_its_grammar_alive(fig1_grammar):
     gc.collect()
     assert ref() is None
     assert represented_node_union(fig1_grammar, [bare("b")], pm) == {5}
+
+
+# ---- parser fuzzing over compressor output ----
+
+# characters a one-character corruption writes: separators, digits (a
+# leading zero among them), name characters, blanks, a comment mark and a
+# non-ASCII digit
+CORRUPTIONS = st.sampled_from(list(":/0123456789aSR_- \t#²"))
+
+
+def _compressed_documents(seed: int) -> tuple[str, str]:
+    graph, _ = seeded_case(seed, max_base=10)
+    gg, pm = compress(graph)
+    return format_grammar(gg), format_path_map(pm)
+
+
+def _corrupt(text: str, data, kind: str | None = None) -> tuple[int, str]:
+    lines = text.split("\n")[:-1]
+    candidates = [i for i, line in enumerate(lines) if kind is None or line.startswith(kind)]
+    i = data.draw(st.sampled_from(candidates))
+    j = data.draw(st.integers(0, len(lines[i]) - 1))
+    lines[i] = lines[i][:j] + data.draw(CORRUPTIONS) + lines[i][j + 1:]
+    return i + 1, "\n".join(lines) + "\n"
+
+
+def _first_suffix_error(tokens: list[str]) -> SuffixFormatError | None:
+    for token in tokens:
+        try:
+            parse_suffix(token)
+        except SuffixFormatError as exc:
+            return exc
+    return None
+
+
+def _assert_suffix_error_matches(exc: GrammarFormatError, lineno: int,
+                                 fresh: SuffixFormatError | None) -> None:
+    # the document fails on a suffix exactly when that suffix fails alone,
+    # with the same exception type and message, on the corrupted line
+    cause = exc.__cause__ if isinstance(exc.__cause__, SuffixFormatError) else None
+    assert type(cause) is type(fresh)
+    if fresh is not None:
+        assert str(exc) == f"line {lineno}: {fresh}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_documents_round_trip_and_parse_like_fresh_suffixes(seed):
+    grammar_text, map_text = _compressed_documents(seed)
+    gg = parse_grammar(grammar_text)
+    pm = parse_path_map(map_text)
+    assert format_grammar(gg) == grammar_text
+    assert format_path_map(pm) == map_text
+    # every suffix parsed with the document's memo equals a fresh parse
+    parsed = [s for pair in gg.edge_pairs for s in pair] + [path for path, _ in pm]
+    for s in parsed:
+        fresh = parse_suffix(str(s))
+        assert fresh == s and fresh.steps == s.steps and str(fresh) == str(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
+    _, map_text = _compressed_documents(seed)
+    lineno, text = _corrupt(map_text, data)
+    line = text.split("\n")[lineno - 1].strip()
+    tokens = line.split()
+    comment = line.startswith("#")
+    shaped = not comment and line.isascii() and len(tokens) == 2 and tokens[1].isdigit()
+    fresh = _first_suffix_error(tokens[:1]) if shaped else None
+    try:
+        pm = parse_path_map(text)
+    except GrammarFormatError as exc:
+        where, _, message = str(exc).partition(": ")
+        # a corrupted line can also turn a later line into a duplicate
+        assert where == f"line {lineno}" or (
+            where.startswith("line ") and int(where[5:]) > lineno and "duplicate" in message)
+        _assert_suffix_error_matches(exc, lineno, fresh)
+        return
+    # accepted: the line became a comment, or is still a well-formed entry
+    # whose path parses alone to what the document holds
+    assert comment or shaped
+    if shaped:
+        assert fresh is None
+        assert pm.path_for(int(tokens[1])) == parse_suffix(tokens[0])
+    assert parse_path_map(format_path_map(pm)) == pm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_a_corrupted_edge_line_fails_on_that_line(seed, data):
+    grammar_text, _ = _compressed_documents(seed)
+    if "\nEDGE " not in grammar_text:
+        return
+    lineno, text = _corrupt(grammar_text, data, "EDGE ")
+    line = text.split("\n")[lineno - 1].strip()
+    tokens = line.split()
+    shaped = line.isascii() and len(tokens) == 3 and tokens[0] == "EDGE"
+    fresh = _first_suffix_error(tokens[1:]) if shaped else None
+    try:
+        gg = parse_grammar(text)
+    except GrammarFormatError as exc:
+        assert str(exc).startswith(f"line {lineno}: ")
+        _assert_suffix_error_matches(exc, lineno, fresh)
+        return
+    assert fresh is None
+    if shaped:
+        assert (parse_suffix(tokens[1]), parse_suffix(tokens[2])) in gg.edge_pairs
+    assert parse_grammar(format_grammar(gg)) == gg

@@ -20,6 +20,12 @@ def test_parse_and_str_round_trip():
         assert str(parse_suffix(text)) == text
 
 
+def test_parse_prints_leading_zero_ordinals_without_them():
+    s = parse_suffix("S/01:T/010:a")
+    assert s == parse_suffix("S/1:T/10:a")
+    assert str(s) == "S/1:T/10:a"
+
+
 def test_parse_bare():
     s = parse_suffix("c")
     assert s.steps == ()
