@@ -33,7 +33,6 @@ def _pattern_predecessors(pattern: PatternGraph) -> dict[int, tuple[int, ...]]:
 
 
 def simulate_on_graph(graph: LabeledGraph, pattern: PatternGraph, *,
-                      use_predecessor_index: bool = True,
                       on_step: Callable[[GraphSharpeningStep], None] | None = None,
                       ) -> dict[int, frozenset[int]]:
     """Greatest label-respecting simulation of `pattern` in `graph`.
@@ -42,9 +41,6 @@ def simulate_on_graph(graph: LabeledGraph, pattern: PatternGraph, *,
     empty map when some pattern node ends up with none. In the result,
     every candidate v of u has, for each pattern edge (u, u2), an edge to
     some candidate of u2.
-
-    `use_predecessor_index` switches between an indexed predecessor lookup
-    and a plain edge-set scan; both return identical results.
 
     Raises:
         ValueError: empty graph or empty pattern.
@@ -55,19 +51,13 @@ def simulate_on_graph(graph: LabeledGraph, pattern: PatternGraph, *,
         raise ValueError("pattern has no nodes")
 
     all_nodes = frozenset(graph.node_ids)
-    if use_predecessor_index:
-        index = graph.predecessor_index()
+    index = graph.predecessor_index()
 
-        def pre_of(targets: frozenset[int]) -> frozenset[int]:
-            out: set[int] = set()
-            for v in targets:
-                out |= index[v]
-            return frozenset(out)
-    else:
-        edges = graph.edges
-
-        def pre_of(targets: frozenset[int]) -> frozenset[int]:
-            return frozenset(src for src, dst in edges if dst in targets)
+    def pre_of(targets: frozenset[int]) -> frozenset[int]:
+        out: set[int] = set()
+        for v in targets:
+            out |= index[v]
+        return frozenset(out)
 
     by_label: dict[str, set[int]] = {}
     for nid, label in graph.nodes:

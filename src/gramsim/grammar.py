@@ -62,7 +62,7 @@ class GraphGrammar:
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
                  "_occurrences", "_leaf_counts", "_offsets", "_bases", "_hash",
-                 "_ext_cache", "__weakref__")
+                 "_ext_cache", "_sim_state", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
                  edge_pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]] = ()):
@@ -89,6 +89,8 @@ class GraphGrammar:
         object.__setattr__(self, "_bases", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ext_cache", {})
+        # filled by the simulator on its first run; dies with the grammar
+        object.__setattr__(self, "_sim_state", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphGrammar is immutable")
@@ -272,8 +274,8 @@ class GraphGrammar:
 
     def _base_table(self) -> dict[str, list[int]]:
         """For each rule, the leaves before each of its instances in the
-        whole graph: the offset sum of every instantiation context, in
-        instantiation_contexts order."""
+        whole graph: one offset sum per step prefix from the start rule to
+        an instance; the start rule's single instance has base 0."""
         table = self._bases
         if table is None:
             offsets = self._offset_table()
@@ -333,20 +335,6 @@ class GraphGrammar:
                 stack.append([label, rule.body, 0, True])
             else:
                 yield tuple(prefix) + ((name, ordinal),), label
-
-    def instantiation_contexts(self) -> dict[str, tuple[tuple[tuple[str, int], ...], ...]]:
-        """For each rule, all step prefixes from the start rule to one of its
-        instances; the start rule's single context is the empty prefix."""
-        contexts: dict[str, list] = {name: [] for name in self._rules}
-        contexts[self.start] = [()]
-        for name in reversed(self._reverse_topological()):
-            own = contexts[name]
-            if not own:
-                continue  # unreachable from the start symbol
-            for ordinal, label in self._rules[name].body:
-                if label in self._rules:
-                    contexts[label].extend(ctx + ((name, ordinal),) for ctx in own)
-        return {name: tuple(ctxs) for name, ctxs in contexts.items()}
 
 
 # ---- path semantics ----
@@ -509,7 +497,7 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
 
     Node ids are assigned in depth-first path order (start rule ordinal 1
     first, recursively), so the result is canonical. Each edge pair
-    contributes one edge per instantiation context of its anchor rule.
+    contributes one edge per instance of its anchor rule.
 
     Raises:
         GrammarValidationError: if validate() reports violations.
@@ -520,12 +508,15 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
     for i, (steps, terminal) in enumerate(gg.iter_full_paths(), start=1):
         nodes.append((i, terminal))
         entries.append((GrammarPathSuffix(steps, terminal), i))
+    # path_node(ctx + steps) is 1 + the anchor instance's base + the
+    # offsets of steps, so no instance's step prefix is built
+    bases = gg._base_table()
+    offsets = gg._offset_table()
     edges = set()
-    contexts = gg.instantiation_contexts()
     for left, right in gg.edge_pairs:
-        anchor = left.steps[0][0]
-        for ctx in contexts[anchor]:
-            edges.add((gg.path_node(ctx + left.steps), gg.path_node(ctx + right.steps)))
+        src = 1 + sum(offsets[step] for step in left.steps)
+        dst = 1 + sum(offsets[step] for step in right.steps)
+        edges.update((base + src, base + dst) for base in bases[left.steps[0][0]])
     return LabeledGraph(nodes, edges), PathMap(entries)
 
 

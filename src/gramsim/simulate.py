@@ -3,15 +3,15 @@
 Mirrors the uncompressed engine, but candidate sets hold grammar path
 suffixes instead of node ids: a suffix stands for every decompressed node
 whose full derivation path ends with it. Both modes share one core:
-predecessor lookup walks a trie over the edge pairs' right sides, cached
-per grammar, and set subtraction walks a trie over the removal suffixes,
-splitting a suffix into longer ones until the parts to drop become
-syntactic. Optimized mode adds deferred removals and re-coalescing.
+predecessor lookup walks a trie over the edge pairs' right sides, and set
+subtraction walks a trie over the removal suffixes, splitting a suffix
+into longer ones until the parts to drop become syntactic. Optimized mode
+adds deferred removals and re-coalescing. The grammar object holds the
+trie and the lookups, so they die with it; an equal grammar builds its own.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -122,12 +122,6 @@ def _leaves(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
                                    for child in gg.extensions(ext)]))
 
 
-def _has_uncovered(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
-                   index: _RemovalIndex) -> bool:
-    """True if some node of `items` is outside the index's suffixes."""
-    return next(_leaves(gg, items, index, False), None) is not None
-
-
 def _coalesce(gg: GraphGrammar, items: Iterable[GrammarPathSuffix]) -> list[GrammarPathSuffix]:
     # Undo splitting where it no longer distinguishes anything: when every
     # one-step extension of a parent suffix is present, the family is the
@@ -225,16 +219,29 @@ class _PredecessorIndex:
 
 
 class _GrammarState:
-    """Simulation caches for one grammar value: the right-side trie, its
-    lookups per suffix and, for optimized runs, the coalesced predecessor
-    set per candidate set."""
+    """Simulation caches for one grammar object: the right-side trie, its
+    lookups per suffix and, for optimized runs, the removal index and node
+    count of the coalesced predecessor set per candidate set."""
 
-    __slots__ = ("index", "contrib", "pre_sets")
+    __slots__ = ("index", "contrib", "pre_sets", "_nodes")
 
     def __init__(self, gg: GraphGrammar):
         self.index = _PredecessorIndex(gg.edge_pairs)
         self.contrib: dict[GrammarPathSuffix, tuple[GrammarPathSuffix, ...]] = {}
-        self.pre_sets: dict[SuffixSet, tuple[SuffixSet, _RemovalIndex]] = {}
+        self.pre_sets: dict[SuffixSet, tuple[_RemovalIndex, int]] = {}
+        # nodes a suffix stands for: one per instance of its anchor rule,
+        # or for a bare terminal one per instance of each body occurrence
+        nodes = {name: len(bases) for name, bases in gg._base_table().items()}
+        occurrences = gg.label_occurrences()
+        for t in gg.terminals:
+            nodes[t] = sum(nodes[name] for name, _ in occurrences.get(t, ()))
+        self._nodes = nodes
+
+    def node_count(self, sset: Iterable[GrammarPathSuffix]) -> int:
+        """Nodes represented by `sset`, whose elements must cover
+        pairwise disjoint node sets."""
+        nodes = self._nodes
+        return sum(nodes[s.steps[0][0] if s.steps else s.terminal] for s in sset)
 
     def lookup(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
         found = self.contrib.get(s)
@@ -250,26 +257,22 @@ class _GrammarState:
         return remove_subsumed(out)
 
     def coalesced_predecessors(self, gg: GraphGrammar,
-                               sset: SuffixSet) -> tuple[SuffixSet, _RemovalIndex]:
+                               sset: SuffixSet) -> tuple[_RemovalIndex, int]:
         cached = self.pre_sets.get(sset)
         if cached is None:
-            pre = SuffixSet(_coalesce(gg, self.predecessors(sset)))
-            cached = (pre, _RemovalIndex(pre))
+            pre = _coalesce(gg, self.predecessors(sset))
+            cached = (_RemovalIndex(pre), self.node_count(pre))
             self.pre_sets[sset] = cached
         return cached
 
 
-# grammars are immutable, so the state survives across runs (the
-# plain-graph engine's predecessor index is likewise retained by its
-# LabeledGraph); keyed by value, equal grammars share one state, and each
-# lookup runs GraphGrammar.__eq__, linear in the edge pairs
-_INDEX_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _state(gg: GraphGrammar) -> _GrammarState:
-    state = _INDEX_CACHE.get(gg)
+    # grammars are immutable, so the state lives on the grammar object
+    # across its runs, as a LabeledGraph keeps its predecessor index
+    state = gg._sim_state
     if state is None:
-        state = _INDEX_CACHE[gg] = _GrammarState(gg)
+        state = _GrammarState(gg)
+        object.__setattr__(gg, "_sim_state", state)
     return state
 
 
@@ -329,12 +332,14 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
 
     Same sharpening loop and FIFO policy as simulate_on_graph, with all
     node sets replaced by suffix sets. Both modes take predecessors from
-    the same trie index, whose lookups are kept per grammar value across
-    runs. With optimized=True, removals are deferred as (before, after)
-    predecessor snapshots and applied when the target node is next
-    inspected, and sets are re-coalesced to the shallowest equivalent
-    suffixes; the expanded result is identical, the syntactic suffix
-    sets need not be. Iteration snapshots are only emitted in plain mode.
+    the same trie index, which is built on the first run on a grammar
+    object and kept, with its lookups, for later runs on that object; an
+    equal grammar, such as a reloaded one, builds its own. With
+    optimized=True, removals are deferred as (before, after) predecessor
+    snapshots and applied when the target node is next inspected, and
+    sets are re-coalesced to the shallowest equivalent suffixes; the
+    expanded result is identical, the syntactic suffix sets need not be.
+    Iteration snapshots are only emitted in plain mode.
 
     Raises:
         GrammarValidationError: if the grammar is invalid.
@@ -364,8 +369,8 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
     queued = set(pattern.node_ids)
 
     if optimized:
-        all_index = _RemovalIndex(all_terminals)
-        prev_pre = {u: (all_terminals, all_index) for u in pattern.node_ids}
+        start = (_RemovalIndex(all_terminals), gg.node_count())
+        prev_pre = {u: start for u in pattern.node_ids}
         pending: dict[int, list[tuple[_RemovalIndex, _RemovalIndex]]] = {
             u: [] for u in pattern.node_ids}
         while queue:
@@ -383,17 +388,19 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
             if candidates[u] == previous[u]:
                 continue
             previous[u] = candidates[u]
-            pre_u, pre_index = state.coalesced_predecessors(gg, candidates[u])
+            pre_index, pre_count = state.coalesced_predecessors(gg, candidates[u])
+            old_index, old_count = prev_pre[u]
             # enqueue only on a real predecessor loss; a reshaped but
-            # node-equal pre set must not keep the queue alive
-            if pattern_pred[u] and _has_uncovered(gg, prev_pre[u][0], pre_index):
-                old_index = prev_pre[u][1]
+            # node-equal pre set must not keep the queue alive. Pre sets
+            # only shrink and their elements cover disjoint node sets, so
+            # a loss is exactly a drop in the node count
+            if pattern_pred[u] and pre_count < old_count:
                 for u2 in pattern_pred[u]:
                     pending[u2].append((old_index, pre_index))
                     if u2 not in queued:
                         queue.append(u2)
                         queued.add(u2)
-            prev_pre[u] = (pre_u, pre_index)
+            prev_pre[u] = (pre_index, pre_count)
     else:
         previous_pre = {u: all_terminals for u in pattern.node_ids}
         while queue:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines;
 each line carries the measured values behind the verdict.
 """
 
+import gc
 import random
 import statistics
 import time
@@ -11,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from gramsim import (BenchConfig, GraphGenParams, PatternGenParams, bare,
-                     compress, compression_ratio, decompress, expand_by_node,
+from gramsim import (GraphGenParams, PatternGenParams, bare, compress,
+                     compression_ratio, decompress, expand_by_node,
                      expand_to_nodes, gen_graph, gen_pattern,
                      graphs_isomorphic_under_map, load_graph, parse_path_map,
                      parse_suffix, predecessor_suffixes, predecessors,
-                     represented_node_union, run_bench, simulate_on_graph,
+                     represented_node_union, simulate_on_graph,
                      simulate_on_grammar, suffix_set_difference)
 from gramsim.cli import main as cli_main
 
@@ -177,24 +178,74 @@ def test_criterion_6_compression_effectiveness():
 
 
 def test_criterion_7_speedup_trend():
-    def cell(edges_per_node):
-        records = run_bench(BenchConfig(
-            base_nodes=40, variations=(2500,), delete_fraction=0.0,
-            edges_per_node=edges_per_node, label_alphabet=1,
-            pattern_nodes=6, pattern_edges=8, seeds=(3, 5, 7), repetitions=3))
-        assert all(r.nodes == 100000 for r in records)
-        baseline = statistics.median(r.baseline_ms for r in records)
-        grammar = statistics.median(r.grammar_ms for r in records)
-        return baseline, grammar
+    def seconds(fn):
+        # collection runs outside the timed call: the heap holds both
+        # engines' data, so a collection inside it would charge one engine
+        # for traversing the other's objects
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            result = fn()
+            return time.perf_counter() - started, result
+        finally:
+            gc.enable()
 
-    results = {epn: cell(epn) for epn in (2.0, 1.6, 1.25)}
-    speedups = {epn: b / g for epn, (b, g) in results.items()}
-    faster_ok = results[1.25][1] < results[1.25][0]
-    trend_ok = speedups[2.0] <= speedups[1.6] <= speedups[1.25]
-    _report(7, faster_ok and trend_ok,
-            "median speedup by density "
-            f"2.0: {speedups[2.0]:.2f}, 1.6: {speedups[1.6]:.2f}, "
-            f"1.25: {speedups[1.25]:.2f} on 100000-node graphs")
+    def cell(variations, edges_per_node):
+        """Median seconds over seeds 3, 5, 7 of the cold first query (grammar:
+        validate plus optimized simulation on fresh compress output; baseline:
+        simulate_on_graph on the fresh graph) and of the warm query (median
+        of three runs after the cold one)."""
+        samples = {"base_cold": [], "gram_cold": [], "base_warm": [], "gram_warm": []}
+        for seed in (3, 5, 7):
+            graph = gen_graph(GraphGenParams(
+                base_nodes=40, variations=variations, delete_fraction=0.0,
+                edges_per_node=edges_per_node, label_alphabet=1, seed=seed))
+            assert len(graph) == 40 * variations
+            pattern = gen_pattern(PatternGenParams(nodes=6, edges=8, seed=seed + 1000003),
+                                  graph.label_set())
+            gg, pm = compress(graph)
+
+            def first_answer():
+                gg.validate()
+                return simulate_on_grammar(gg, pattern, optimized=True)
+
+            elapsed, cold = seconds(first_answer)
+            samples["gram_cold"].append(elapsed)
+            elapsed, want = seconds(lambda: simulate_on_graph(graph, pattern))
+            samples["base_cold"].append(elapsed)
+            base_runs = [seconds(lambda: simulate_on_graph(graph, pattern)) for _ in range(3)]
+            gram_runs = [seconds(lambda: simulate_on_grammar(gg, pattern, optimized=True))
+                         for _ in range(3)]
+            samples["base_warm"].append(statistics.median(t for t, _ in base_runs))
+            samples["gram_warm"].append(statistics.median(t for t, _ in gram_runs))
+            for answer in (cold, gram_runs[-1][1]):
+                if expand_by_node(gg, answer, pm) != want:
+                    _report(7, False, f"engines disagree at {variations} variations, "
+                                      f"{edges_per_node} edges/node, seed {seed}")
+        return {kind: statistics.median(times) for kind, times in samples.items()}
+
+    densities = (2.0, 1.6, 1.25)
+    big = {epn: cell(2500, epn) for epn in densities}
+    small = {epn: cell(500, epn) for epn in densities}
+    warm_big = {epn: m["base_warm"] / m["gram_warm"] for epn, m in big.items()}
+    warm_small = {epn: m["base_warm"] / m["gram_warm"] for epn, m in small.items()}
+    cold_big = {epn: m["base_cold"] / m["gram_cold"] for epn, m in big.items()}
+    faster_ok = big[1.25]["gram_warm"] < big[1.25]["base_warm"]
+    size_ok = all(warm_big[epn] > warm_small[epn] for epn in densities)
+    density_ok = cold_big[2.0] <= cold_big[1.6] <= cold_big[1.25]
+
+    def listing(values, fmt):
+        return ", ".join(f"{epn}: {fmt.format(values[epn])}" for epn in densities)
+
+    _report(7, faster_ok and size_ok and density_ok,
+            f"warm ms at 100000 nodes, 1.25 edges/node: grammar "
+            f"{big[1.25]['gram_warm'] * 1000:.2f} vs baseline {big[1.25]['base_warm'] * 1000:.2f}; "
+            f"median warm speedup by density at 100000 nodes {listing(warm_big, '{:.1f}')} "
+            f"vs 20000 nodes {listing(warm_small, '{:.1f}')}; "
+            f"median cold speedup at 100000 nodes {listing(cold_big, '{:.2f}')} "
+            f"(cold s grammar {listing({e: m['gram_cold'] for e, m in big.items()}, '{:.2f}')}, "
+            f"baseline {listing({e: m['base_cold'] for e, m in big.items()}, '{:.2f}')})")
 
 
 def test_criterion_8_cli_determinism(tmp_path, capsys):

@@ -23,12 +23,6 @@ def test_fig1_first_step(fig1_graph, cd_pattern):
     assert {s.node for s in steps} == {1, 2}
 
 
-def test_index_toggle_is_observationally_equal(fig1_graph, cd_pattern):
-    a = simulate_on_graph(fig1_graph, cd_pattern, use_predecessor_index=True)
-    b = simulate_on_graph(fig1_graph, cd_pattern, use_predecessor_index=False)
-    assert a == b
-
-
 def test_no_match_returns_empty(fig1_graph):
     pattern = load_graph("1 z\n")
     assert simulate_on_graph(fig1_graph, pattern) == {}
@@ -72,7 +66,6 @@ def test_matches_brute_force_oracle():
         p = random_soup(rng, max_nodes=3)
         want = greatest_simulation(g, p)
         assert simulate_on_graph(g, p) == want
-        assert simulate_on_graph(g, p, use_predecessor_index=False) == want
         checked += 1
     assert checked == 60
 

@@ -1,14 +1,19 @@
+import gc
 import random
+import weakref
+from collections.abc import Collection, Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gramsim import (GrammarValidationError, SimulationResult, SuffixSet, bare,
-                     compress, decompress, expand_by_node, expand_to_nodes,
-                     load_graph, parse_grammar, parse_suffix, predecessors,
-                     predecessor_suffixes, predecessor_suffixes_of,
-                     represented_node_union, simulate_on_graph,
-                     simulate_on_grammar, suffix_set_difference)
-from gramsim.simulate import _coalesce, _has_uncovered, _leaves, _RemovalIndex
+from gramsim import (GrammarValidationError, GraphGrammar, SimulationResult,
+                     SuffixSet, bare, compress, decompress, expand_by_node,
+                     expand_to_nodes, format_grammar, load_graph, parse_grammar,
+                     parse_suffix, predecessors, predecessor_suffixes,
+                     predecessor_suffixes_of, represented_node_union,
+                     simulate_on_graph, simulate_on_grammar, suffix_set_difference)
+from gramsim import simulate
+from gramsim.simulate import _coalesce, _GrammarState, _leaves, _RemovalIndex, _state
 
 from .conftest import seeded_case
 
@@ -194,11 +199,63 @@ def test_coalesce_collapses_complete_families(fig1_grammar):
     assert texts(_coalesce(gg, [parse_suffix("S/2:b")])) == {"b"}
 
 
-def test_has_uncovered(fig1_grammar):
-    gg = fig1_grammar
-    assert _has_uncovered(gg, [bare("d")],
-                          _RemovalIndex([parse_suffix("CDCD/1:CD/2:d")]))
-    assert not _has_uncovered(gg, [parse_suffix("CDCD/1:CD/2:d"),
-                                   parse_suffix("CDCD/2:CD/2:d")],
-                              _RemovalIndex([bare("d")]))
-    assert not _has_uncovered(gg, [], _RemovalIndex([]))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pre_set_node_counts_match_their_expansion(seed):
+    # optimized mode detects a predecessor loss by a drop in this count
+    graph, pattern = seeded_case(seed, max_base=10)
+    gg, _ = compress(graph)
+    simulate_on_grammar(gg, pattern, optimized=True)
+    state = _state(gg)
+    all_terminals = SuffixSet(bare(t) for t in gg.terminals)
+    state.coalesced_predecessors(gg, all_terminals)
+    assert state.node_count(all_terminals) == gg.node_count()
+    for sset, (_, count) in state.pre_sets.items():
+        pre = _coalesce(gg, state.predecessors(sset))
+        assert count == state.node_count(pre) == len(rep(gg, pre))
+
+
+# ---- simulation state lives on the grammar object ----
+
+
+def test_a_reloaded_grammar_starts_with_empty_state(fig1_grammar, cd_pattern):
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    want = simulate_on_grammar(gg, cd_pattern, optimized=True)
+    state = _state(gg)
+    assert state.contrib and state.pre_sets
+    copy = parse_grammar(format_grammar(gg))
+    assert copy == gg
+    fresh = _state(copy)
+    assert fresh is not state
+    assert not fresh.contrib and not fresh.pre_sets
+    assert simulate_on_grammar(copy, cd_pattern, optimized=True) == want
+    assert _state(gg) is state and _state(copy) is fresh
+
+
+def _module_held_objects():
+    held = []
+    for value in vars(simulate).values():
+        if isinstance(value, Mapping):
+            held.extend(x for item in value.items() for x in item)
+        elif isinstance(value, Collection) and not isinstance(value, (str, bytes)):
+            held.extend(value)
+    return held
+
+
+def test_grammar_state_dies_with_its_grammar(fig1_grammar, cd_pattern):
+    def live_states():
+        return sum(isinstance(o, _GrammarState) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_states()
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    simulate_on_grammar(gg, cd_pattern, optimized=True)
+    simulate_on_grammar(gg, cd_pattern)
+    assert live_states() == before + 1
+    assert not any(isinstance(o, (GraphGrammar, _GrammarState))
+                   for o in _module_held_objects())
+    ref = weakref.ref(gg)
+    del gg
+    gc.collect()
+    assert ref() is None
+    assert live_states() == before
