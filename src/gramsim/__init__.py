@@ -12,8 +12,7 @@ from .baseline import GraphSharpeningStep, simulate_on_graph
 from .bench import (BenchConfig, BenchConfigError, BenchMismatchError,
                     BenchRecord, BenchTimeoutError, parse_config, run_bench,
                     to_csv)
-from .compress import (Digram, compress, compression_ratio, digram_census,
-                       initial_work_graph, replace_digram, size_metrics)
+from .compress import Digram, compress, compression_ratio, size_metrics
 from .generate import (GraphGenParams, PatternGenParams, gen_graph,
                        gen_pattern)
 from .graph import (GraphFormatError, LabeledGraph, PatternGraph,
@@ -21,15 +20,13 @@ from .graph import (GraphFormatError, LabeledGraph, PatternGraph,
                     save_graph)
 from .grammar import (GrammarFormatError, GrammarValidationError, GraphGrammar,
                       PathMap, Rule, anchored_paths, decompress,
-                      format_grammar, format_path_map, one_step_extensions,
-                      parse_grammar, parse_path_map, represented_node_union,
-                      represented_nodes)
+                      format_grammar, format_path_map, parse_grammar,
+                      parse_path_map, represented_node_union, represented_nodes)
 from .simulate import (GrammarSharpeningStep, SimulationResult, expand_by_node,
-                       expand_to_nodes, predecessor_suffixes,
-                       predecessor_suffixes_of, simulate_on_grammar,
+                       expand_to_nodes, predecessor_suffixes, simulate_on_grammar,
                        suffix_set_difference)
 from .suffix import (GrammarPathSuffix, SuffixFormatError, SuffixSet, bare,
-                     is_suffix_of, parse_suffix, remove_subsumed)
+                     parse_suffix, remove_subsumed)
 
 __version__ = "0.1.0"
 
@@ -40,13 +37,11 @@ __all__ = [
     "GraphGenParams", "GraphGrammar", "GraphSharpeningStep", "LabeledGraph",
     "PathMap", "PatternGenParams", "PatternGraph", "Rule", "SimulationResult",
     "SuffixFormatError", "SuffixSet", "anchored_paths", "bare", "compress",
-    "compression_ratio", "decompress", "digram_census", "expand_by_node",
-    "expand_to_nodes", "format_grammar", "format_path_map", "gen_graph",
-    "gen_pattern", "graphs_isomorphic_under_map", "initial_work_graph",
-    "is_suffix_of", "load_graph", "one_step_extensions", "parse_config",
+    "compression_ratio", "decompress", "expand_by_node", "expand_to_nodes",
+    "format_grammar", "format_path_map", "gen_graph", "gen_pattern",
+    "graphs_isomorphic_under_map", "load_graph", "parse_config",
     "parse_grammar", "parse_path_map", "parse_suffix", "predecessor_suffixes",
-    "predecessor_suffixes_of", "predecessors", "remove_subsumed",
-    "replace_digram", "represented_node_union", "represented_nodes",
-    "run_bench", "save_graph", "simulate_on_graph", "simulate_on_grammar",
-    "size_metrics", "suffix_set_difference", "to_csv",
+    "predecessors", "remove_subsumed", "represented_node_union",
+    "represented_nodes", "run_bench", "save_graph", "simulate_on_graph",
+    "simulate_on_grammar", "size_metrics", "suffix_set_difference", "to_csv",
 ]

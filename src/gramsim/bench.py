@@ -83,7 +83,13 @@ _BOOL_KEYS = {"optimized"}
 
 def parse_config(text: str) -> BenchConfig:
     """Parse a flat `key = value` config; `variations` and `seeds` take
-    comma-separated sweep lists, `#` starts a comment."""
+    comma-separated sweep lists, `#` starts a comment.
+
+    Raises:
+        BenchConfigError: on a malformed line, an unknown key, a value of
+            the wrong type, an empty list or repetitions below 1, with the
+            line number.
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,10 +106,14 @@ def parse_config(text: str) -> BenchConfig:
                 raise ValueError(f"non-ASCII characters in value {value!r}")
             if key in _INT_KEYS:
                 values[key] = int(value)
+                if key == "repetitions" and values[key] < 1:
+                    raise ValueError("repetitions must be at least 1")
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
             elif key in _LIST_KEYS:
                 values[key] = tuple(int(v.strip()) for v in value.split(",") if v.strip())
+                if not values[key]:
+                    raise ValueError(f"{key} list is empty")
             elif key in _BOOL_KEYS:
                 if value.lower() not in ("true", "false"):
                     raise ValueError(f"expected true or false, got {value!r}")
@@ -112,14 +122,7 @@ def parse_config(text: str) -> BenchConfig:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise BenchConfigError(f"line {lineno}: {exc}") from exc
-    config = BenchConfig(**values)  # type: ignore[arg-type]
-    if not config.variations:
-        raise BenchConfigError("variations sweep is empty")
-    if not config.seeds:
-        raise BenchConfigError("seeds list is empty")
-    if config.repetitions < 1:
-        raise BenchConfigError("repetitions must be at least 1")
-    return config
+    return BenchConfig(**values)  # type: ignore[arg-type]
 
 
 def _timed(fn: Callable[[], object], repetitions: int, timeout_ms: float,

@@ -304,10 +304,10 @@ class GraphGrammar:
         return self._leaf_count_table()[self.start]
 
     def extensions(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
-        """All one-step-longer suffixes N/k:s, in body-occurrence order."""
+        """All one-step-longer suffixes N/k:s, in canonical order."""
         cached = self._ext_cache.get(s)
         if cached is None:
-            positions = self.label_occurrences().get(s.first_label, ())
+            positions = sorted(self.label_occurrences().get(s.first_label, ()))
             cached = tuple(GrammarPathSuffix(((name, ordinal),) + s.steps, s.terminal)
                            for name, ordinal in positions)
             self._ext_cache[s] = cached
@@ -541,6 +541,17 @@ def parse_grammar(text: str) -> GraphGrammar:
     pairs: list[tuple[GrammarPathSuffix, GrammarPathSuffix]] = []
     step_memo: dict[str, tuple[str, int]] = {}
     terminal_memo: dict[str, str] = {}
+    # whole EDGE tokens already parsed in this document: a side repeated on
+    # many lines is one dict hit and one shared suffix. A token that fails
+    # never enters, so it fails with the same message on every line.
+    suffix_memo: dict[str, GrammarPathSuffix] = {}
+
+    def suffix(token: str) -> GrammarPathSuffix:
+        s = suffix_memo.get(token)
+        if s is None:
+            s = suffix_memo[token] = _parse_suffix(token, step_memo, terminal_memo)
+        return s
+
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -590,8 +601,7 @@ def parse_grammar(text: str) -> GraphGrammar:
             if len(tokens) != 3:
                 raise GrammarFormatError(f"line {lineno}: EDGE expects two suffixes")
             try:
-                pairs.append((_parse_suffix(tokens[1], step_memo, terminal_memo),
-                              _parse_suffix(tokens[2], step_memo, terminal_memo)))
+                pairs.append((suffix(tokens[1]), suffix(tokens[2])))
             except ValueError as exc:
                 raise GrammarFormatError(f"line {lineno}: {exc}") from exc
         else:

@@ -2,23 +2,28 @@
 
 Mirrors the uncompressed engine, but candidate sets hold grammar path
 suffixes instead of node ids: a suffix stands for every decompressed node
-whose full derivation path ends with it. Both modes share one core:
-predecessor lookup walks a trie over the edge pairs' right sides, and set
-subtraction walks a trie over the removal suffixes, splitting a suffix
-into longer ones until the parts to drop become syntactic. Optimized mode
-adds deferred removals and re-coalescing. The grammar object holds the
-trie and the lookups, so they die with it; an equal grammar builds its own.
+whose full derivation path ends with it. Both modes share one core, and
+every set in it is kept in the canonical sort_key order, in which one
+suffix is a suffix of another exactly when its key is a prefix of the
+other's. Predecessor lookup bisects the edge pairs sorted by their right
+side's key, and set subtraction bisects the sorted keys of the removal
+set, splitting a suffix into longer ones until the parts to drop become
+syntactic. Optimized mode adds deferred removals and re-coalescing. The
+grammar object holds the index and the lookups, so they die with it; an
+equal grammar builds its own.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .graph import PatternGraph
 from .grammar import GraphGrammar, PathMap, represented_node_union
-from .suffix import GrammarPathSuffix, SuffixSet, bare, remove_subsumed
+from .suffix import (_AFTER, GrammarPathSuffix, SuffixSet, _sort_key, bare,
+                     remove_subsumed)
 
 
 @dataclass(frozen=True)
@@ -51,51 +56,23 @@ class SimulationResult:
         return dict(self.candidates) == dict(other.candidates)
 
 
-_EXACT = object()  # trie key under which a removal suffix ends
-
-
 class _RemovalIndex:
-    """Removal suffixes as per-terminal tries over reversed steps.
+    """A subsumption-free removal set as its sorted keys.
 
-    Walking a candidate's steps from the end decides it: passing a node
-    where a removal ends means the removal is a suffix of the candidate
-    (drop); falling off the trie means no removal touches it (keep);
-    running out of steps inside the trie means every removal below
-    strictly extends it (split). A one-step extension of a split
-    candidate continues the walk one child down."""
+    A candidate's key decides it with one bisect: when the nearest key at
+    or below it is a prefix of it, that removal is a suffix of the
+    candidate (drop); otherwise, when the next key extends it, every
+    removal in the run of keys that start with its key strictly extends
+    it (split); otherwise no removal touches it (keep). Without
+    subsumption, a removal that is a suffix of the candidate is the
+    nearest key at or below it, since everything sorting between them
+    would extend that removal."""
 
-    __slots__ = ("_roots",)
+    __slots__ = ("items", "keys")
 
-    def __init__(self, removes: Iterable[GrammarPathSuffix]):
-        roots: dict[str, dict] = {}
-        for rem in removes:
-            node = roots.setdefault(rem.terminal, {})
-            for step in reversed(rem.steps):
-                node = node.setdefault(step, {})
-            node[_EXACT] = rem
-        self._roots = roots
-
-    def locate(self, ext: GrammarPathSuffix) -> dict | None:
-        """None to keep `ext`, a node holding _EXACT to drop it, else the
-        node to split it at."""
-        node = self._roots.get(ext.terminal)
-        steps = ext.steps
-        position = len(steps)
-        while node is not None and position and _EXACT not in node:
-            position -= 1
-            node = node.get(steps[position])
-        return node
-
-
-def _ends_below(node: dict) -> Iterator[GrammarPathSuffix]:
-    """The shallowest removals in the subtree of a split node."""
-    stack = list(node.values())
-    while stack:
-        child = stack.pop()
-        if _EXACT in child:
-            yield child[_EXACT]
-        else:
-            stack.extend(child.values())
+    def __init__(self, removes: SuffixSet):
+        self.items = removes.items
+        self.keys = [s.sort_key for s in self.items]
 
 
 def _leaves(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
@@ -104,51 +81,56 @@ def _leaves(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
     when `inside` is set. A part some removal strictly extends is split
     into its one-step extensions, each of which either leaves the
     removals' shadow or is covered a round later; its inside parts are
-    exactly the removals below it."""
-    stack = [(s, index.locate(s)) for s in items]
+    exactly the removals below it. Subsumption-free items in canonical
+    order give parts in canonical order."""
+    keys, removals = index.keys, index.items
+    size = len(keys)
+    stack = list(items)
     stack.reverse()
     while stack:
-        ext, node = stack.pop()
-        if node is None:
-            if not inside:
-                yield ext
-        elif _EXACT in node:
+        ext = stack.pop()
+        key = ext.sort_key
+        i = bisect_right(keys, key)
+        if i and key[:len(keys[i - 1])] == keys[i - 1]:
             if inside:
                 yield ext
-        elif inside:
-            yield from _ends_below(node)
-        else:
-            stack.extend(reversed([(child, node.get(child.steps[0]))
-                                   for child in gg.extensions(ext)]))
-
-
-def _coalesce(gg: GraphGrammar, items: Iterable[GrammarPathSuffix]) -> list[GrammarPathSuffix]:
-    # Undo splitting where it no longer distinguishes anything: when every
-    # one-step extension of a parent suffix is present, the family is the
-    # parent's exact partition and collapses back to it. Keeps sets at the
-    # shallowest granularity that still describes the same node set.
-    by_depth: dict[int, set[GrammarPathSuffix]] = {}
-    for s in items:
-        by_depth.setdefault(len(s.steps), set()).add(s)
-    if not by_depth:
-        return []
-    occurrences = gg.label_occurrences()
-    out: list[GrammarPathSuffix] = []
-    for depth in range(max(by_depth), 0, -1):
-        pool = by_depth.get(depth)
-        if not pool:
-            continue
-        groups: dict[GrammarPathSuffix, list[GrammarPathSuffix]] = {}
-        for s in pool:
-            parent = GrammarPathSuffix(s.steps[1:], s.terminal)
-            groups.setdefault(parent, []).append(s)
-        for parent, members in groups.items():
-            if len(members) == len(occurrences.get(parent.first_label, ())):
-                by_depth.setdefault(depth - 1, set()).add(parent)
+        elif i < size and keys[i][:len(key)] == key:
+            if inside:
+                yield from removals[i:bisect_left(keys, key + _AFTER, i)]
             else:
-                out.extend(members)
-    out.extend(by_depth.get(0, ()))
-    return out
+                stack.extend(reversed(gg.extensions(ext)))
+        elif not inside:
+            yield ext
+
+
+def _coalesce(gg: GraphGrammar, items: SuffixSet) -> SuffixSet:
+    """Undo splitting where it no longer distinguishes anything: when every
+    one-step extension of a parent suffix is present, the family is the
+    parent's exact partition and collapses back to it, and so on upwards.
+    Keeps sets at the shallowest granularity that still describes the same
+    node set. `items` must be subsumption-free.
+
+    Families are counted by their parent's key, and only the parents
+    that survive are built. Mostly no family is complete, and `items`
+    comes back as it is."""
+    sizes = _state(gg).family_sizes
+    counts = Counter([s._key[:-1] for s in items])
+    complete = {key for key, count in counts.items() if key and count == sizes[key[-1]]}
+    if not complete:
+        return items
+    work = list(complete)
+    while work:
+        up = work.pop()[:-1]
+        if up:
+            counts[up] += 1
+            if counts[up] == sizes[up[-1]]:
+                complete.add(up)
+                work.append(up)
+    # members of a complete family give way to its parent
+    out = [s for s in items if s._key[:-1] not in complete]
+    out.extend(GrammarPathSuffix(key[:0:-1], key[0])
+               for key in complete if key[:-1] not in complete)
+    return SuffixSet._canonical(tuple(sorted(out, key=_sort_key)))
 
 
 def _apply_removal_pair(gg: GraphGrammar, cand: SuffixSet,
@@ -157,73 +139,52 @@ def _apply_removal_pair(gg: GraphGrammar, cand: SuffixSet,
     # (cand intersect new_pre) so the removal set itself is never built.
     kept = list(_leaves(gg, cand, old_index, False))
     kept.extend(_leaves(gg, cand, new_index, True))
-    return SuffixSet(_coalesce(gg, remove_subsumed(kept)))
-
-
-class _PredNode:
-    __slots__ = ("children", "exact", "subtree")
-
-    def __init__(self):
-        self.children: dict = {}
-        self.exact: list[GrammarPathSuffix] = []
-        self.subtree: list[GrammarPathSuffix] = []
+    return _coalesce(gg, remove_subsumed(kept))
 
 
 class _PredecessorIndex:
-    """Edge pairs as per-terminal tries over each right side's reversed
-    steps, so one walk along a suffix collects both contribution kinds:
-    rights that end on the walked path are suffixes of the query and
-    contribute their left re-anchored under the unconsumed prefix, and
-    rights in the subtree where the walk ends extend the query and
-    contribute their left unchanged."""
+    """Edge pairs sorted by their right side's key. The rights `s` is a
+    suffix of, which contribute their left unchanged, are the bisect
+    range of keys that start with s's key. The rights that are proper
+    suffixes of `s`, which contribute their left re-anchored under the
+    steps of `s` they leave over, have the proper prefixes of s's key:
+    at most len(s) exact dict hits."""
 
-    __slots__ = ("_roots",)
+    __slots__ = ("_keys", "_lefts", "_runs")
 
     def __init__(self, pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]]):
-        roots: dict[str, _PredNode] = {}
-        for left, right in pairs:
-            node = roots.setdefault(right.terminal, _PredNode())
-            node.subtree.append(left)
-            for step in reversed(right.steps):
-                node = node.children.setdefault(step, _PredNode())
-                node.subtree.append(left)
-            node.exact.append(left)
-        self._roots = roots
+        ordered = sorted(pairs, key=lambda pair: pair[1].sort_key)
+        self._keys = [right.sort_key for _, right in ordered]
+        self._lefts = [left for left, _ in ordered]
+        # each right's key -> its run [start, end) of the sorted pairs
+        runs: dict[tuple, list[int]] = {}
+        for i, key in enumerate(self._keys):
+            runs.setdefault(key, [i, i])[1] = i + 1
+        self._runs = runs
 
     def lookup(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
-        node = self._roots.get(s.terminal)
-        if node is None:
-            return ()
+        key = s.sort_key
+        keys = self._keys
+        lefts = self._lefts
+        start = bisect_left(keys, key)
+        out = lefts[start:bisect_left(keys, key + _AFTER, start)]
         steps = s.steps
         n = len(steps)
-        out: list[GrammarPathSuffix] = []
-        if node.exact:  # bare rights are suffixes of every same-terminal s
-            if n:
-                out.extend(left.prepend(steps) for left in node.exact)
-            else:
-                out.extend(node.exact)
-        completed = True
-        for depth in range(1, n + 1):
-            node = node.children.get(steps[n - depth])
-            if node is None:
-                completed = False
-                break
-            prefix = steps[:n - depth]
-            if prefix:
-                out.extend(left.prepend(prefix) for left in node.exact)
-            else:
-                out.extend(node.exact)
-        if completed:
-            out.extend(node.subtree)
+        runs = self._runs
+        for m in range(1, n + 1):
+            run = runs.get(key[:m])
+            if run is not None:
+                prefix = steps[:n + 1 - m]
+                out.extend(left.prepend(prefix) for left in lefts[run[0]:run[1]])
         return tuple(out)
 
 
 class _GrammarState:
-    """Simulation caches for one grammar object: the right-side trie, its
+    """Simulation caches for one grammar object: the predecessor index, its
     lookups per suffix and, for optimized runs, the removal index and node
     count of the coalesced predecessor set per candidate set."""
 
-    __slots__ = ("index", "contrib", "pre_sets", "_nodes")
+    __slots__ = ("index", "contrib", "pre_sets", "family_sizes", "_nodes")
 
     def __init__(self, gg: GraphGrammar):
         self.index = _PredecessorIndex(gg.edge_pairs)
@@ -236,6 +197,13 @@ class _GrammarState:
         for t in gg.terminals:
             nodes[t] = sum(nodes[name] for name, _ in occurrences.get(t, ()))
         self._nodes = nodes
+        # one-step extensions of a suffix, by the last element of its key:
+        # its outermost step, or its terminal when it is bare
+        sizes: dict = {t: len(occurrences.get(t, ())) for t in gg.terminals}
+        for rule in gg.rules.values():
+            for ordinal, _ in rule.body:
+                sizes[(rule.name, ordinal)] = len(occurrences.get(rule.name, ()))
+        self.family_sizes = sizes
 
     def node_count(self, sset: Iterable[GrammarPathSuffix]) -> int:
         """Nodes represented by `sset`, whose elements must cover
@@ -321,7 +289,7 @@ def suffix_set_difference(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
     """
     items, removes = list(items), list(removes)
     _check_fit(gg, items + removes)
-    return SuffixSet(_leaves(gg, items, _RemovalIndex(removes), False))
+    return SuffixSet(_leaves(gg, items, _RemovalIndex(remove_subsumed(removes)), False))
 
 
 def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
@@ -332,7 +300,7 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
 
     Same sharpening loop and FIFO policy as simulate_on_graph, with all
     node sets replaced by suffix sets. Both modes take predecessors from
-    the same trie index, which is built on the first run on a grammar
+    the same sorted index, which is built on the first run on a grammar
     object and kept, with its lookups, for later runs on that object; an
     equal grammar, such as a reloaded one, builds its own. With
     optimized=True, removals are deferred as (before, after) predecessor
@@ -410,10 +378,14 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
                 continue
             previous[u] = candidates[u]
             pre_u = state.predecessors(candidates[u])
-            removed = SuffixSet(_leaves(gg, previous_pre[u], _RemovalIndex(pre_u), False))
+            # every set here is subsumption-free and in canonical order,
+            # so its leaves are too
+            removed = SuffixSet._canonical(tuple(
+                _leaves(gg, previous_pre[u], _RemovalIndex(pre_u), False)))
             removed_index = _RemovalIndex(removed)
             for u2 in pattern_pred[u]:
-                narrowed = SuffixSet(_leaves(gg, candidates[u2], removed_index, False))
+                narrowed = SuffixSet._canonical(tuple(
+                    _leaves(gg, candidates[u2], removed_index, False)))
                 if narrowed != candidates[u2]:
                     candidates[u2] = narrowed
                     if u2 not in queued:

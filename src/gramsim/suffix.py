@@ -9,6 +9,7 @@ results are reproducible byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .graph import valid_label
@@ -52,12 +53,13 @@ class GrammarPathSuffix:
 
     @property
     def sort_key(self) -> tuple:
-        # Terminal first, then steps innermost-out: a suffix of another
-        # suffix sorts immediately before all of its extensions, which makes
-        # subsumption removal a single linear sweep.
+        # Terminal first, then steps innermost-out: `a` is a suffix of `b`
+        # exactly when a's key is a prefix of b's, so a suffix sorts
+        # immediately before all of its extensions, and those form one
+        # contiguous run of the canonical order.
         key = self._key
         if key is None:
-            key = (self.terminal,) + tuple(reversed(self.steps))
+            key = (self.terminal,) + self.steps[::-1]
             object.__setattr__(self, "_key", key)
         return key
 
@@ -78,6 +80,26 @@ class GrammarPathSuffix:
 
     def __repr__(self) -> str:
         return f"GrammarPathSuffix({str(self)!r})"
+
+
+# the sort key without a lambda around the property
+_sort_key = GrammarPathSuffix.sort_key.fget
+
+
+class _After:
+    """Sorts after every step, so the keys that start with `key` are
+    exactly those in the half-open range [key, key + _AFTER)."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __gt__(self, other: object) -> bool:
+        return True
+
+
+_AFTER = (_After(),)
 
 
 def bare(terminal: str) -> GrammarPathSuffix:
@@ -158,16 +180,32 @@ def is_suffix_of(shorter: GrammarPathSuffix, longer: GrammarPathSuffix) -> bool:
 class SuffixSet:
     """A duplicate-free collection of suffixes in canonical order.
 
-    Ordering is by GrammarPathSuffix.sort_key. Two SuffixSets are equal
-    iff they hold the same suffixes.
+    Ordering is by GrammarPathSuffix.sort_key, which tells distinct
+    suffixes apart, so two SuffixSets hold the same suffixes exactly when
+    their ordered items are equal. Every item has its key computed, so
+    code inside the package may read it as `_key`.
     """
 
-    __slots__ = ("_items", "_lookup")
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, items: Iterable[GrammarPathSuffix] = ()):
-        lookup = frozenset(items)
-        self._items: tuple[GrammarPathSuffix, ...] = tuple(sorted(lookup, key=lambda s: s.sort_key))
-        self._lookup = lookup
+        out: list[GrammarPathSuffix] = []
+        last = None
+        for s in sorted(items, key=_sort_key):
+            if s._key != last:  # equal suffixes sort next to each other
+                out.append(s)
+                last = s._key
+        self._items: tuple[GrammarPathSuffix, ...] = tuple(out)
+        self._hash: int | None = None
+
+    @classmethod
+    def _canonical(cls, items: tuple[GrammarPathSuffix, ...]) -> "SuffixSet":
+        """Wrap `items`, which must be distinct, in canonical order and
+        have their keys computed."""
+        sset = object.__new__(cls)
+        sset._items = items
+        sset._hash = None
+        return sset
 
     def __iter__(self) -> Iterator[GrammarPathSuffix]:
         return iter(self._items)
@@ -179,22 +217,29 @@ class SuffixSet:
         return bool(self._items)
 
     def __contains__(self, item: object) -> bool:
-        return item in self._lookup
+        if not isinstance(item, GrammarPathSuffix):
+            return False
+        items = self._items
+        i = bisect_left(items, item.sort_key, key=_sort_key)
+        return i < len(items) and items[i] == item
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuffixSet):
             return NotImplemented
-        return self._lookup == other._lookup
+        return self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._lookup)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._items)
+        return h
 
     @property
     def items(self) -> tuple[GrammarPathSuffix, ...]:
         return self._items
 
     def union(self, other: Iterable[GrammarPathSuffix]) -> "SuffixSet":
-        return SuffixSet(self._lookup.union(other))
+        return SuffixSet(self._items + tuple(other))
 
     def __repr__(self) -> str:
         return "SuffixSet({" + ", ".join(str(s) for s in self._items) + "})"
@@ -205,14 +250,18 @@ def remove_subsumed(suffixes: Iterable[GrammarPathSuffix]) -> SuffixSet:
 
     A shorter suffix represents a superset of nodes, so only the minimal
     elements carry information. In canonical order all extensions of a kept
-    element are contiguous right after it, so one sweep with the last kept
-    element suffices.
+    element are contiguous right after it, and their keys start with its
+    key, so one sweep with the last kept key suffices; it drops duplicates
+    too.
     """
     out: list[GrammarPathSuffix] = []
-    last: GrammarPathSuffix | None = None
-    for s in SuffixSet(suffixes):
-        if last is not None and is_suffix_of(last, s):
+    last: tuple = ()
+    n = 0
+    for s in sorted(suffixes, key=_sort_key):
+        key = s._key
+        if n and key[:n] == last:
             continue
         out.append(s)
-        last = s
-    return SuffixSet(out)
+        last = key
+        n = len(key)
+    return SuffixSet._canonical(tuple(out))

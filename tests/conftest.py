@@ -12,6 +12,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from gramsim import (GraphGenParams, LabeledGraph, PatternGenParams, gen_graph,
                      gen_pattern, load_graph, parse_grammar)
@@ -85,3 +86,22 @@ def seeded_case(seed: int, max_base: int = 14) -> tuple[LabeledGraph, LabeledGra
                                            seed=rng.randrange(10**6)),
                           graph.label_set())
     return graph, pattern
+
+
+# characters a one-character corruption writes: separators, digits (a
+# leading zero among them), name characters, blanks, a comment mark and a
+# non-ASCII digit
+CORRUPTIONS = st.sampled_from(list(":/0123456789aSR_- \t#²"))
+
+
+def corrupt_line(text: str, data, kind: str | None = None,
+                 alphabet=CORRUPTIONS) -> tuple[int, str]:
+    """Overwrite one character of one line (of those starting with `kind`)
+    with a drawn one; returns the 1-based line number and the new text."""
+    lines = text.split("\n")[:-1]
+    candidates = [i for i, line in enumerate(lines)
+                  if line and (kind is None or line.startswith(kind))]
+    i = data.draw(st.sampled_from(candidates))
+    j = data.draw(st.integers(0, len(lines[i]) - 1))
+    lines[i] = lines[i][:j] + data.draw(alphabet) + lines[i][j + 1:]
+    return i + 1, "\n".join(lines) + "\n"

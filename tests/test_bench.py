@@ -1,9 +1,14 @@
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gramsim import (BenchConfig, BenchConfigError, BenchMismatchError,
                      BenchRecord, BenchTimeoutError, parse_config, run_bench,
                      to_csv)
 from gramsim.bench import CSV_HEADER
+
+from .conftest import corrupt_line
 
 TINY = BenchConfig(base_nodes=8, variations=(2, 3), delete_fraction=0.25,
                    edges_per_node=1.0, label_alphabet=2, pattern_nodes=3,
@@ -55,6 +60,62 @@ def test_parse_config_rejects(text, fragment):
     with pytest.raises(BenchConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+# ---- parser fuzzing ----
+
+# short values, so that one corrupted character can also empty a list or
+# zero the repetitions
+INTS = st.integers(-99, 999)
+FLOATS = st.floats(allow_nan=False)
+
+
+@st.composite
+def configs(draw):
+    return BenchConfig(
+        base_nodes=draw(INTS), variations=tuple(draw(st.lists(INTS, min_size=1, max_size=3))),
+        delete_fraction=draw(FLOATS), edges_per_node=draw(FLOATS),
+        label_alphabet=draw(INTS), pattern_nodes=draw(INTS), pattern_edges=draw(INTS),
+        seeds=tuple(draw(st.lists(INTS, min_size=1, max_size=3))),
+        repetitions=draw(st.integers(1, 20)), timeout_ms=draw(FLOATS),
+        optimized=draw(st.booleans()), min_count=draw(INTS))
+
+
+def config_text(config: BenchConfig) -> str:
+    lines = ["# generated"]
+    for field in fields(BenchConfig):
+        value = getattr(config, field.name)
+        if isinstance(value, tuple):
+            value = ", ".join(map(str, value))
+        elif isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{field.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@given(configs())
+def test_generated_configs_round_trip(config):
+    assert parse_config(config_text(config)) == config
+
+
+CONFIG_CORRUPTIONS = st.sampled_from(list("=,.#e-_a0123456789 \t²"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs(), st.data())
+def test_a_corrupted_config_line_fails_on_that_line(config, data):
+    text = config_text(config)
+    lineno, corrupted = corrupt_line(text, data, alphabet=CONFIG_CORRUPTIONS)
+    try:
+        got = parse_config(corrupted)
+    except BenchConfigError as exc:
+        assert str(exc).startswith(f"line {lineno}: ")
+        return
+    # accepted: the corrupted line still sets its own key, or became a comment
+    key = text.split("\n")[lineno - 1].partition("=")[0].strip()
+    for field in fields(BenchConfig):
+        if field.name != key:
+            assert getattr(got, field.name) == getattr(config, field.name)
 
 
 def test_run_bench_record_shape():

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from gramsim import (Digram, GraphGenParams, bare, compress, compression_ratio,
-                     decompress, digram_census, format_grammar, format_path_map,
-                     gen_graph, graphs_isomorphic_under_map, initial_work_graph,
-                     load_graph, parse_suffix, replace_digram, size_metrics)
+                     decompress, format_grammar, format_path_map, gen_graph,
+                     graphs_isomorphic_under_map, load_graph, parse_suffix,
+                     size_metrics)
+from gramsim.compress import digram_census, initial_work_graph, replace_digram
 
 from .conftest import random_soup, seeded_case
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from gramsim import (GrammarFormatError, GrammarValidationError, GraphGrammar,
                      GraphGenParams, PathMap, Rule, SuffixFormatError,
                      anchored_paths, compress, decompress, expand_by_node,
-                     format_grammar, format_path_map, gen_graph,
-                     one_step_extensions, parse_grammar, parse_path_map,
-                     parse_suffix, represented_node_union, represented_nodes,
-                     bare, load_graph, simulate_on_grammar)
+                     format_grammar, format_path_map, gen_graph, parse_grammar,
+                     parse_path_map, parse_suffix, represented_node_union,
+                     represented_nodes, bare, load_graph, simulate_on_grammar)
+from gramsim.grammar import one_step_extensions
 
-from .conftest import seeded_case
+from .conftest import corrupt_line, seeded_case
 
 DATA = Path(__file__).parent / "data"
 
@@ -217,6 +217,20 @@ def test_a_terminal_token_is_not_a_step_once_seen_as_a_terminal():
     assert str(err.value) == "line 203: step 'a' has no '/' in suffix 'S/2:a:a'"
 
 
+def test_a_repeated_edge_token_is_one_suffix_and_a_bad_one_fails_each_time():
+    head = "TERMINALS a\nSTART S\nRULE S => 1:T 2:T\nRULE T => 1:a 2:a\n"
+    gg = parse_grammar(head + "EDGE T/1:a T/2:a\nEDGE T/2:a T/1:a\n")
+    (l1, r1), (l2, r2) = gg.edge_pairs
+    assert l1 is r2 and r1 is l2
+    # a token that failed is not remembered: the same token fails again,
+    # with the same message, on whichever line it comes first
+    for lines, lineno in [(["EDGE T/1:a T/0:a", "EDGE T/1:a T/0:a"], 5),
+                          (["EDGE T/1:a T/2:a", "EDGE T/1:a T/0:a"], 6)]:
+        with pytest.raises(GrammarFormatError) as err:
+            parse_grammar(head + "\n".join(lines) + "\n")
+        assert str(err.value) == f"line {lineno}: invalid ordinal '0' in suffix 'T/0:a'"
+
+
 @pytest.mark.parametrize("bad,message", [
     ("S/0:a", "invalid ordinal '0' in suffix 'S/0:a'"),
     ("S/1:T/x:a", "invalid ordinal 'x' in suffix 'S/1:T/x:a'"),
@@ -351,25 +365,10 @@ def test_path_map_does_not_keep_its_grammar_alive(fig1_grammar):
 
 # ---- parser fuzzing over compressor output ----
 
-# characters a one-character corruption writes: separators, digits (a
-# leading zero among them), name characters, blanks, a comment mark and a
-# non-ASCII digit
-CORRUPTIONS = st.sampled_from(list(":/0123456789aSR_- \t#²"))
-
-
 def _compressed_documents(seed: int) -> tuple[str, str]:
     graph, _ = seeded_case(seed, max_base=10)
     gg, pm = compress(graph)
     return format_grammar(gg), format_path_map(pm)
-
-
-def _corrupt(text: str, data, kind: str | None = None) -> tuple[int, str]:
-    lines = text.split("\n")[:-1]
-    candidates = [i for i, line in enumerate(lines) if kind is None or line.startswith(kind)]
-    i = data.draw(st.sampled_from(candidates))
-    j = data.draw(st.integers(0, len(lines[i]) - 1))
-    lines[i] = lines[i][:j] + data.draw(CORRUPTIONS) + lines[i][j + 1:]
-    return i + 1, "\n".join(lines) + "\n"
 
 
 def _first_suffix_error(tokens: list[str]) -> SuffixFormatError | None:
@@ -410,7 +409,7 @@ def test_documents_round_trip_and_parse_like_fresh_suffixes(seed):
 @given(st.integers(0, 10**6), st.data())
 def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
     _, map_text = _compressed_documents(seed)
-    lineno, text = _corrupt(map_text, data)
+    lineno, text = corrupt_line(map_text, data)
     line = text.split("\n")[lineno - 1].strip()
     tokens = line.split()
     comment = line.startswith("#")
@@ -440,7 +439,7 @@ def test_a_corrupted_edge_line_fails_on_that_line(seed, data):
     grammar_text, _ = _compressed_documents(seed)
     if "\nEDGE " not in grammar_text:
         return
-    lineno, text = _corrupt(grammar_text, data, "EDGE ")
+    lineno, text = corrupt_line(grammar_text, data, "EDGE ")
     line = text.split("\n")[lineno - 1].strip()
     tokens = line.split()
     shaped = line.isascii() and len(tokens) == 3 and tokens[0] == "EDGE"

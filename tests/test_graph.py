@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gramsim import (GraphFormatError, LabeledGraph, graphs_isomorphic_under_map,
                      load_graph, predecessors, save_graph)
 
-from .conftest import random_soup
+from .conftest import corrupt_line, random_soup
 
 
 def test_load_minimal():
@@ -141,3 +141,41 @@ def test_soup_round_trip(seed):
     import random
     g = random_soup(random.Random(seed))
     assert load_graph(save_graph(g)) == g
+
+
+# ---- parser fuzzing ----
+
+LABELS = st.from_regex(r"[A-Za-z0-9_]{1,6}", fullmatch=True).filter(lambda t: not t.isdigit())
+
+
+@st.composite
+def graphs(draw):
+    ids = draw(st.lists(st.integers(1, 10**9), min_size=1, max_size=12, unique=True))
+    nodes = [(nid, draw(LABELS)) for nid in ids]
+    edges = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=24))
+    return LabeledGraph(nodes, edges)
+
+
+@given(graphs())
+def test_generated_graphs_round_trip(g):
+    assert load_graph(save_graph(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.data())
+def test_a_corrupted_line_fails_on_the_first_bad_line(g, data):
+    lineno, text = corrupt_line(save_graph(g), data)
+    lines = text.split("\n")
+    try:
+        got = load_graph(text)
+    except GraphFormatError as exc:
+        where, _, _ = str(exc).partition(": ")
+        assert where.startswith("line ")
+        bad = int(where[5:])
+        # the corrupted line, or a later one it made inconsistent, such as
+        # an edge to a node whose line it turned into a comment; either
+        # way the text before the named line is still a graph
+        assert bad >= lineno
+        load_graph("\n".join(lines[:bad - 1]) + "\n")
+        return
+    assert load_graph(save_graph(got)) == got

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gramsim import (GrammarPathSuffix, SuffixFormatError, SuffixSet, bare,
-                     is_suffix_of, parse_suffix, remove_subsumed)
+                     parse_suffix, remove_subsumed)
+from gramsim.suffix import is_suffix_of
 
 NAMES = st.sampled_from(["S", "A", "B", "R1", "R2"])
 TERMINALS = st.sampled_from(["a", "b", "c"])
