@@ -61,7 +61,7 @@ class GraphGrammar:
     """Immutable grammar value; semantic checks live in validate()."""
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
-                 "_occurrences", "_leaf_counts", "_offsets", "_bases", "_hash",
+                 "_occurrences", "_labels", "_leaf_counts", "_offsets", "_bases", "_hash",
                  "_ext_cache", "_sim_state", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
@@ -84,6 +84,7 @@ class GraphGrammar:
         object.__setattr__(self, "edge_pairs", tuple(pairs))
         object.__setattr__(self, "_violations", None)
         object.__setattr__(self, "_occurrences", None)
+        object.__setattr__(self, "_labels", None)
         object.__setattr__(self, "_leaf_counts", None)
         object.__setattr__(self, "_offsets", None)
         object.__setattr__(self, "_bases", None)
@@ -142,9 +143,15 @@ class GraphGrammar:
         cycle = self._find_cycle()
         if cycle:
             v.append("recursive grammar: " + " -> ".join(cycle))
+        # a side shared by many edge pairs is checked once per call, and
+        # reported once per occurrence
+        checked: dict[GrammarPathSuffix, str | None] = {}
         for left, right in self.edge_pairs:
             for s in (left, right):
-                err = self.suffix_violation(s)
+                if s in checked:
+                    err = checked[s]
+                else:
+                    err = checked[s] = self.suffix_violation(s)
                 if err:
                     v.append(err)
             if not left.steps or not right.steps:
@@ -157,6 +164,18 @@ class GraphGrammar:
 
     def suffix_violation(self, s: GrammarPathSuffix) -> str | None:
         """Explain why `s` does not fit this grammar, or None if it does."""
+        # fast path: check each step against the label table, innermost-out
+        labels = self._label_table()
+        expected = s.terminal
+        for name, ordinal in reversed(s.steps):
+            body = labels.get(name)
+            if body is None or body.get(ordinal) != expected:
+                break
+            expected = name
+        else:
+            if s.terminal in self.terminals:
+                return None
+        # s does not fit: the step-by-step walk finds the first reason
         for i, (name, ordinal) in enumerate(s.steps):
             rule = self._rules.get(name)
             if rule is None:
@@ -221,6 +240,17 @@ class GraphGrammar:
             occ = {label: tuple(positions) for label, positions in acc.items()}
             object.__setattr__(self, "_occurrences", occ)
         return occ
+
+    def _label_table(self) -> dict[str, dict[int, str]]:
+        """The label at each body position, as rule -> ordinal -> label.
+
+        It shares each rule's own ordinal dict, so building it allocates
+        one dict and no key per position."""
+        table = self._labels
+        if table is None:
+            table = {name: rule._by_ordinal for name, rule in self._rules.items()}
+            object.__setattr__(self, "_labels", table)
+        return table
 
     def _reverse_topological(self) -> list[str]:
         # callees before callers; requires acyclicity
@@ -356,16 +386,19 @@ def one_step_extensions(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
     return SuffixSet(gg.extensions(s))
 
 
-def _check_fits(gg: GraphGrammar, s: GrammarPathSuffix) -> None:
-    err = gg.suffix_violation(s)
-    if err:
-        raise ValueError(err)
+def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
+    """Raise GrammarValidationError if `gg` is invalid, else ValueError with
+    the first suffix of `suffixes` that does not fit it."""
+    gg.ensure_valid()
+    for s in suffixes:
+        err = gg.suffix_violation(s)
+        if err:
+            raise ValueError(err)
 
 
 def anchored_paths(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
     """All full start-anchored paths that end with `s`."""
-    gg.ensure_valid()
-    _check_fits(gg, s)
+    _check_fit(gg, [s])
     start = gg.start
     out = []
     work = [s]
@@ -403,8 +436,7 @@ def represented_nodes(gg: GraphGrammar, s: GrammarPathSuffix) -> frozenset[int]:
     Raises:
         ValueError: if `s` does not fit the grammar.
     """
-    gg.ensure_valid()
-    _check_fits(gg, s)
+    _check_fit(gg, [s])
     return frozenset(_canonical_ids(gg, s))
 
 
@@ -417,10 +449,10 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
         ValueError: if a suffix does not fit the grammar.
         KeyError: with the full path, if the path map has no entry for it.
     """
-    gg.ensure_valid()
+    suffixes = list(suffixes)
+    _check_fit(gg, suffixes)
     out: set[int] = set()
     for s in suffixes:
-        _check_fits(gg, s)
         out.update(_canonical_ids(gg, s))
     if path_map is None:
         return frozenset(out)
@@ -463,10 +495,29 @@ class PathMap:
         dense = self._dense
         if dense is not None and dense[0]() is gg:
             return dense[1]
-        lookup = self._by_path.get
-        table: list[int | None] = [None]
-        table.extend(lookup(GrammarPathSuffix(steps, terminal))
-                     for steps, terminal in gg.iter_full_paths())
+        # The map's own entries fill the table: an entry that is a full path
+        # of gg (anchored at its start rule, each step labeled with the next
+        # step's rule, ending in a terminal) lands at its canonical id, 1 +
+        # its steps' offsets; any other entry names no node of gg.
+        labels = gg._label_table()
+        offsets = gg._offset_table()
+        terminals = gg.terminals
+        start = gg.start
+        table: list[int | None] = [None] * (gg.node_count() + 1)
+        for path, nid in self._by_path.items():
+            steps = path.steps
+            if not steps or steps[0][0] != start or path.terminal not in terminals:
+                continue
+            expected = path.terminal
+            cid = 1
+            for step in reversed(steps):
+                body = labels.get(step[0])
+                if body is None or body.get(step[1]) != expected:
+                    break
+                expected = step[0]
+                cid += offsets[step]
+            else:
+                table[cid] = nid
         self._dense = (weakref.ref(gg), table)
         return table
 

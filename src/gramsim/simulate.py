@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .graph import PatternGraph
-from .grammar import GraphGrammar, PathMap, represented_node_union
+from .grammar import GraphGrammar, PathMap, _check_fit, represented_node_union
 from .suffix import (_AFTER, GrammarPathSuffix, SuffixSet, _sort_key, bare,
                      remove_subsumed)
 
@@ -242,14 +242,6 @@ def _state(gg: GraphGrammar) -> _GrammarState:
         state = _GrammarState(gg)
         object.__setattr__(gg, "_sim_state", state)
     return state
-
-
-def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
-    gg.ensure_valid()
-    for s in suffixes:
-        err = gg.suffix_violation(s)
-        if err:
-            raise ValueError(err)
 
 
 def predecessor_suffixes_of(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:

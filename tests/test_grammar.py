@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gramsim import (GrammarFormatError, GrammarValidationError, GraphGrammar,
-                     GraphGenParams, PathMap, Rule, SuffixFormatError,
+from gramsim import (GrammarFormatError, GrammarPathSuffix, GrammarValidationError,
+                     GraphGrammar, GraphGenParams, PathMap, Rule, SuffixFormatError,
                      anchored_paths, compress, decompress, expand_by_node,
                      format_grammar, format_path_map, gen_graph, parse_grammar,
                      parse_path_map, parse_suffix, represented_node_union,
@@ -454,3 +454,127 @@ def test_a_corrupted_edge_line_fails_on_that_line(seed, data):
     if shaped:
         assert (parse_suffix(tokens[1]), parse_suffix(tokens[2])) in gg.edge_pairs
     assert parse_grammar(format_grammar(gg)) == gg
+
+
+# ---- the (rule, ordinal) -> label table, against step-by-step references ----
+
+
+def _reference_violation(gg, s):
+    # suffix_violation as a walk over the rules, step by step from the
+    # anchor: the messages the label table must reproduce
+    for i, (name, ordinal) in enumerate(s.steps):
+        rule = gg.rules.get(name)
+        if rule is None:
+            return f"suffix {s}: no rule named {name}"
+        label = rule.label_at(ordinal)
+        if label is None:
+            return f"suffix {s}: no ordinal {ordinal} in rule {name}"
+        expected = s.steps[i + 1][0] if i + 1 < len(s.steps) else s.terminal
+        if label != expected:
+            return f"suffix {s}: ordinal {ordinal} of rule {name} is labeled {label}, not {expected}"
+    if s.terminal not in gg.terminals:
+        return f"suffix {s}: {s.terminal} is not a terminal"
+    return None
+
+
+def _positions(gg):
+    return [(rule.name, ordinal, label) for rule in gg.rules.values()
+            for ordinal, label in rule.body]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_suffix_violation_matches_the_step_walk(seed, data):
+    graph, _ = seeded_case(seed, max_base=10)
+    gg, pm = compress(graph)
+    fitting = [path for path, _ in pm] + [s for pair in gg.edge_pairs for s in pair]
+    s = data.draw(st.sampled_from(fitting))
+    steps = list(s.steps[data.draw(st.integers(0, len(s.steps))):])
+    terminal = s.terminal
+    kind = data.draw(st.sampled_from(
+        ["none", "unknown rule", "missing ordinal", "wrong label", "nonterminal end"]))
+    if kind == "nonterminal end":
+        if not steps:
+            return
+        # drop the innermost step: the chain still holds, but ends at a rule
+        terminal = steps.pop()[0]
+    elif kind != "none":
+        if not steps:
+            return
+        i = data.draw(st.integers(0, len(steps) - 1))
+        name, ordinal = steps[i]
+        if kind == "unknown rule":
+            steps[i] = ("NoSuchRule", ordinal)
+        elif kind == "missing ordinal":
+            steps[i] = (name, max(o for o, _ in gg.rules[name].body) + 1)
+        else:
+            expected = steps[i + 1][0] if i + 1 < len(steps) else terminal
+            wrong = [(n, o) for n, o, label in _positions(gg) if label != expected]
+            if not wrong:
+                return
+            steps[i] = data.draw(st.sampled_from(wrong))
+    probe = GrammarPathSuffix(tuple(steps), terminal)
+    message = gg.suffix_violation(probe)
+    assert message == _reference_violation(gg, probe)
+    assert (message is None) == (kind == "none")
+
+
+def test_validate_lists_a_repeated_bad_side_once_per_occurrence(fig1_grammar):
+    # edge pairs are kept sorted, so the bad sides come in the order
+    # CD/3:c (after CD/1:c), CD/1:e, CD/3:c (after CD/2:d)
+    extra = "EDGE CD/2:d CD/3:c\nEDGE CD/1:e CD/2:d\nEDGE CD/1:c CD/3:c\n"
+    want = ["suffix CD/3:c: no ordinal 3 in rule CD",
+            "suffix CD/1:e: ordinal 1 of rule CD is labeled c, not e",
+            "suffix CD/3:c: no ordinal 3 in rule CD"]
+    parsed = parse_grammar(format_grammar(fig1_grammar) + extra)
+    # the parser shares one object per repeated token; build the same
+    # pairs from equal but distinct objects too
+    pairs = [(parse_suffix(str(left)), parse_suffix(str(right)))
+             for left, right in parsed.edge_pairs]
+    built = GraphGrammar(parsed.terminals, parsed.rules.values(), parsed.start, pairs)
+    for gg in (parsed, built):
+        assert gg.validate() == want
+        assert gg.validate() == want  # the kept list
+
+
+def _reference_ids(pm, gg):
+    # the table's definition: for each full path of gg in canonical
+    # (depth-first) order, the map's id for it, None where it has none
+    table = [None]
+    for steps, terminal in gg.iter_full_paths():
+        path = GrammarPathSuffix(steps, terminal)
+        table.append(pm.node_for(path) if path in pm else None)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_path_map_table_matches_its_definition(seed, other_seed):
+    gg, pm = compress(seeded_case(seed, max_base=10)[0])
+    other, other_pm = compress(seeded_case(other_seed, max_base=10)[0])
+    rng = random.Random(seed)
+    entries = dict(pm)
+    for path in rng.sample(sorted(entries, key=str), len(entries) // 4):
+        del entries[path]   # gaps: paths the map lacks
+    full = [path for path, _ in pm]
+    misfits = [path for path, _ in other_pm][:8]   # another grammar's paths
+    for path in rng.sample(full, min(8, len(full))):
+        steps, terminal = path.steps, path.terminal
+        if len(steps) > 1:
+            misfits.append(GrammarPathSuffix(steps[1:], terminal))    # non-start anchor
+            misfits.append(GrammarPathSuffix(steps[:-1], steps[-1][0]))  # nonterminal end
+        i = rng.randrange(len(steps))
+        expected = steps[i + 1][0] if i + 1 < len(steps) else terminal
+        wrong = [(n, o) for n, o, label in _positions(gg) if label != expected]
+        if wrong:   # broken label chain at depth i
+            broken = steps[:i] + (rng.choice(wrong),) + steps[i + 1:]
+            misfits.append(GrammarPathSuffix(broken, terminal))
+    next_id = max(pm.node_for(path) for path in full) + 1
+    for k, path in enumerate(misfits):
+        entries.setdefault(path, next_id + k)
+    mixed = PathMap(entries.items())
+    reloaded_gg = parse_grammar(format_grammar(gg))
+    reloaded_map = parse_path_map(format_path_map(mixed))
+    for g, m in [(gg, pm), (gg, mixed), (reloaded_gg, reloaded_map), (other, mixed),
+                 (reloaded_gg, parse_path_map(format_path_map(pm))), (gg, reloaded_map)]:
+        assert m._ids_by_canonical(g) == _reference_ids(m, g)
