@@ -61,7 +61,7 @@ class GraphGrammar:
     """Immutable grammar value; semantic checks live in validate()."""
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
-                 "_occurrences", "_labels", "_leaf_counts", "_offsets", "_bases", "_hash",
+                 "_occurrences", "_leaf_counts", "_offsets", "_bases", "_hash",
                  "_ext_cache", "_sim_state", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
@@ -84,7 +84,6 @@ class GraphGrammar:
         object.__setattr__(self, "edge_pairs", tuple(pairs))
         object.__setattr__(self, "_violations", None)
         object.__setattr__(self, "_occurrences", None)
-        object.__setattr__(self, "_labels", None)
         object.__setattr__(self, "_leaf_counts", None)
         object.__setattr__(self, "_offsets", None)
         object.__setattr__(self, "_bases", None)
@@ -164,31 +163,26 @@ class GraphGrammar:
 
     def suffix_violation(self, s: GrammarPathSuffix) -> str | None:
         """Explain why `s` does not fit this grammar, or None if it does."""
-        # fast path: check each step against the label table, innermost-out
-        labels = self._label_table()
+        # Innermost-out, each step is checked against the rule of the step
+        # after it; a later (outer) reason replaces an earlier one, so the
+        # message names the first misfit from the anchor on.
+        err = None
+        if s.terminal not in self.terminals:
+            err = f"suffix {s}: {s.terminal} is not a terminal"
+        rules = self._rules
         expected = s.terminal
         for name, ordinal in reversed(s.steps):
-            body = labels.get(name)
-            if body is None or body.get(ordinal) != expected:
-                break
-            expected = name
-        else:
-            if s.terminal in self.terminals:
-                return None
-        # s does not fit: the step-by-step walk finds the first reason
-        for i, (name, ordinal) in enumerate(s.steps):
-            rule = self._rules.get(name)
+            rule = rules.get(name)
             if rule is None:
-                return f"suffix {s}: no rule named {name}"
-            label = rule.label_at(ordinal)
-            if label is None:
-                return f"suffix {s}: no ordinal {ordinal} in rule {name}"
-            expected = s.steps[i + 1][0] if i + 1 < len(s.steps) else s.terminal
-            if label != expected:
-                return f"suffix {s}: ordinal {ordinal} of rule {name} is labeled {label}, not {expected}"
-        if s.terminal not in self.terminals:
-            return f"suffix {s}: {s.terminal} is not a terminal"
-        return None
+                err = f"suffix {s}: no rule named {name}"
+            else:
+                label = rule._by_ordinal.get(ordinal)
+                if label is None:
+                    err = f"suffix {s}: no ordinal {ordinal} in rule {name}"
+                elif label != expected:
+                    err = f"suffix {s}: ordinal {ordinal} of rule {name} is labeled {label}, not {expected}"
+            expected = name
+        return err
 
     def _find_cycle(self) -> list[str] | None:
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -240,17 +234,6 @@ class GraphGrammar:
             occ = {label: tuple(positions) for label, positions in acc.items()}
             object.__setattr__(self, "_occurrences", occ)
         return occ
-
-    def _label_table(self) -> dict[str, dict[int, str]]:
-        """The label at each body position, as rule -> ordinal -> label.
-
-        It shares each rule's own ordinal dict, so building it allocates
-        one dict and no key per position."""
-        table = self._labels
-        if table is None:
-            table = {name: rule._by_ordinal for name, rule in self._rules.items()}
-            object.__setattr__(self, "_labels", table)
-        return table
 
     def _reverse_topological(self) -> list[str]:
         # callees before callers; requires acyclicity
@@ -496,10 +479,12 @@ class PathMap:
         if dense is not None and dense[0]() is gg:
             return dense[1]
         # The map's own entries fill the table: an entry that is a full path
-        # of gg (anchored at its start rule, each step labeled with the next
-        # step's rule, ending in a terminal) lands at its canonical id, 1 +
-        # its steps' offsets; any other entry names no node of gg.
-        labels = gg._label_table()
+        # of gg (anchored at its start rule, fitting it as suffix_violation
+        # checks) lands at its canonical id, path_node's 1 + its steps'
+        # offsets; any other entry names no node of gg. One innermost-out walk
+        # per entry does both: calling the two per entry made a cold first
+        # answer about 9% slower on a grammar whose paths are 11 steps deep.
+        rules = gg._rules
         offsets = gg._offset_table()
         terminals = gg.terminals
         start = gg.start
@@ -511,8 +496,8 @@ class PathMap:
             expected = path.terminal
             cid = 1
             for step in reversed(steps):
-                body = labels.get(step[0])
-                if body is None or body.get(step[1]) != expected:
+                rule = rules.get(step[0])
+                if rule is None or rule._by_ordinal.get(step[1]) != expected:
                     break
                 expected = step[0]
                 cid += offsets[step]

@@ -456,12 +456,12 @@ def test_a_corrupted_edge_line_fails_on_that_line(seed, data):
     assert parse_grammar(format_grammar(gg)) == gg
 
 
-# ---- the (rule, ordinal) -> label table, against step-by-step references ----
+# ---- fit checks and the path-map table, against step-by-step references ----
 
 
 def _reference_violation(gg, s):
     # suffix_violation as a walk over the rules, step by step from the
-    # anchor: the messages the label table must reproduce
+    # anchor, stopping at the first misfit: the messages it must reproduce
     for i, (name, ordinal) in enumerate(s.steps):
         rule = gg.rules.get(name)
         if rule is None:
@@ -491,21 +491,24 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     s = data.draw(st.sampled_from(fitting))
     steps = list(s.steps[data.draw(st.integers(0, len(s.steps))):])
     terminal = s.terminal
-    kind = data.draw(st.sampled_from(
-        ["none", "unknown rule", "missing ordinal", "wrong label", "nonterminal end"]))
-    if kind == "nonterminal end":
+    # up to two corruptions, so that one misfit can sit outside another
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["unknown rule", "missing ordinal", "wrong label", "nonterminal end"]), max_size=2))
+    for kind in kinds:
         if not steps:
             return
-        # drop the innermost step: the chain still holds, but ends at a rule
-        terminal = steps.pop()[0]
-    elif kind != "none":
-        if not steps:
-            return
+        if kind == "nonterminal end":
+            # drop the innermost step: the chain above it still holds, but
+            # ends at a rule
+            terminal = steps.pop()[0]
+            continue
         i = data.draw(st.integers(0, len(steps) - 1))
         name, ordinal = steps[i]
         if kind == "unknown rule":
             steps[i] = ("NoSuchRule", ordinal)
         elif kind == "missing ordinal":
+            if name not in gg.rules:
+                return
             steps[i] = (name, max(o for o, _ in gg.rules[name].body) + 1)
         else:
             expected = steps[i + 1][0] if i + 1 < len(steps) else terminal
@@ -516,7 +519,8 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     probe = GrammarPathSuffix(tuple(steps), terminal)
     message = gg.suffix_violation(probe)
     assert message == _reference_violation(gg, probe)
-    assert (message is None) == (kind == "none")
+    # the last corruption leaves its own step (or the end) misfitting
+    assert (message is None) == (not kinds)
 
 
 def test_validate_lists_a_repeated_bad_side_once_per_occurrence(fig1_grammar):
