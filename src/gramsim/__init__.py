@@ -10,8 +10,7 @@ and benchmark opponent.
 
 from .baseline import GraphSharpeningStep, simulate_on_graph
 from .bench import (BenchConfig, BenchConfigError, BenchMismatchError,
-                    BenchRecord, BenchTimeoutError, parse_config, run_bench,
-                    to_csv)
+                    BenchRecord, parse_config, run_bench, to_csv)
 from .compress import Digram, compress, compression_ratio, size_metrics
 from .generate import (GraphGenParams, PatternGenParams, gen_graph,
                        gen_pattern)
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "BenchConfigError", "BenchMismatchError", "BenchRecord",
-    "BenchTimeoutError", "Digram", "GrammarFormatError", "GrammarPathSuffix",
+    "Digram", "GrammarFormatError", "GrammarPathSuffix",
     "GrammarSharpeningStep", "GrammarValidationError", "GraphFormatError",
     "GraphGenParams", "GraphGrammar", "GraphSharpeningStep", "LabeledGraph",
     "PathMap", "PatternGenParams", "PatternGraph", "Rule", "SimulationResult",

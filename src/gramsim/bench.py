@@ -27,19 +27,13 @@ class BenchMismatchError(RuntimeError):
     """The two engines disagreed; carries the reproducing cell."""
 
 
-class BenchTimeoutError(RuntimeError):
-    """A single timed phase exceeded the configured budget."""
-
-
 class BenchConfigError(ValueError):
     """Raised for malformed benchmark config files."""
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One benchmark sweep. `timeout_ms` is checked only after a timed run
-    has finished: no run is interrupted, and the untimed warmup is not
-    checked at all."""
+    """One benchmark sweep."""
 
     base_nodes: int = 50
     variations: tuple[int, ...] = (10,)
@@ -50,7 +44,6 @@ class BenchConfig:
     pattern_edges: int = 8
     seeds: tuple[int, ...] = (1,)
     repetitions: int = 5
-    timeout_ms: float = 0.0  # 0 disables the budget check
     optimized: bool = True
     min_count: int = 2
 
@@ -76,7 +69,7 @@ class BenchRecord:
 
 _INT_KEYS = {"base_nodes", "label_alphabet", "pattern_nodes", "pattern_edges",
              "repetitions", "min_count"}
-_FLOAT_KEYS = {"delete_fraction", "edges_per_node", "timeout_ms"}
+_FLOAT_KEYS = {"delete_fraction", "edges_per_node"}
 _LIST_KEYS = {"variations", "seeds"}
 _BOOL_KEYS = {"optimized"}
 
@@ -125,8 +118,7 @@ def parse_config(text: str) -> BenchConfig:
     return BenchConfig(**values)  # type: ignore[arg-type]
 
 
-def _timed(fn: Callable[[], object], repetitions: int, timeout_ms: float,
-           cell: str) -> tuple[float, object]:
+def _timed(fn: Callable[[], object], repetitions: int) -> tuple[float, object]:
     """Median wall-clock milliseconds over `repetitions` runs, after one
     untimed warmup; returns (median_ms, last result)."""
     result = fn()  # warmup; results are deterministic across repetitions
@@ -134,11 +126,7 @@ def _timed(fn: Callable[[], object], repetitions: int, timeout_ms: float,
     for _ in range(repetitions):
         started = time.perf_counter()
         result = fn()
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if timeout_ms > 0 and elapsed_ms > timeout_ms:
-            raise BenchTimeoutError(f"{cell}: a run took {elapsed_ms:.0f} ms, over the "
-                                    f"{timeout_ms:.0f} ms budget")
-        samples.append(elapsed_ms)
+        samples.append((time.perf_counter() - started) * 1000.0)
     return statistics.median(samples), result
 
 
@@ -153,9 +141,6 @@ def run_bench(config: BenchConfig,
 
     Raises:
         BenchMismatchError: engines disagree (message names the cell).
-        BenchTimeoutError: a timed run went over timeout_ms. The check
-            runs after the run has finished, so it cannot stop a run
-            that never ends; the untimed warmup is not checked.
     """
     records = []
     for graph_index, variations in enumerate(config.variations, start=1):
@@ -178,11 +163,10 @@ def run_bench(config: BenchConfig,
             if progress:
                 progress(f"{cell}: timing")
             baseline_ms, baseline_result = _timed(
-                lambda: simulate_on_graph(graph, pattern),
-                config.repetitions, config.timeout_ms, cell + " (baseline)")
+                lambda: simulate_on_graph(graph, pattern), config.repetitions)
             grammar_ms, grammar_result = _timed(
                 lambda: simulate_on_grammar(grammar, pattern, optimized=config.optimized),
-                config.repetitions, config.timeout_ms, cell + " (grammar)")
+                config.repetitions)
             expanded = expand_by_node(grammar, grammar_result, path_map)
             if expanded != baseline_result:
                 raise BenchMismatchError(

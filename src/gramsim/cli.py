@@ -13,8 +13,8 @@ import os
 import sys
 
 from .baseline import simulate_on_graph
-from .bench import (BenchConfigError, BenchMismatchError, BenchTimeoutError,
-                    parse_config, run_bench, to_csv)
+from .bench import (BenchConfigError, BenchMismatchError, parse_config,
+                    run_bench, to_csv)
 from .compress import compress
 from .generate import GraphGenParams, PatternGenParams, gen_graph, gen_pattern
 from .graph import GraphFormatError, load_graph, save_graph, valid_label
@@ -146,8 +146,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         overrides["seeds"] = (args.seed,)
     if args.repetitions is not None:
         overrides["repetitions"] = args.repetitions
-    if args.timeout_ms is not None:
-        overrides["timeout_ms"] = args.timeout_ms
     if overrides:
         config = dataclasses.replace(config, **overrides)
     records = run_bench(config, progress=lambda note: print(note, file=sys.stderr))
@@ -212,7 +210,6 @@ def build_parser() -> _Parser:
     cmd.add_argument("-o", "--output", help="CSV file (default stdout)")
     cmd.add_argument("--seed", type=int, help="replace the config's seed list")
     cmd.add_argument("--repetitions", type=int, help="override timing repetitions")
-    cmd.add_argument("--timeout-ms", type=float, help="per-run time budget")
     cmd.set_defaults(func=_cmd_bench)
     return parser
 
@@ -232,8 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gramsim: error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (_DataError, GraphFormatError, GrammarFormatError, SuffixFormatError,
-            GrammarValidationError, BenchConfigError, BenchTimeoutError,
-            ValueError) as exc:
+            GrammarValidationError, BenchConfigError, ValueError) as exc:
         print(f"gramsim: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

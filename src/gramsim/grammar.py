@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import LabeledGraph, valid_label
 from .suffix import GrammarPathSuffix, SuffixSet, _parse_suffix
@@ -57,12 +57,27 @@ class Rule:
         return self._by_ordinal.get(ordinal)
 
 
+class _Derivation(NamedTuple):
+    """The grammar's derivation structure, built in one go from its rules."""
+
+    # for each label, the (rule, ordinal) body positions carrying it, in
+    # canonical order
+    occurrences: dict[str, list[tuple[str, int]]]
+    # leaves each rule derives
+    leaf_counts: dict[str, int]
+    # leaves strictly before each body position, within its rule
+    offsets: dict[tuple[str, int], int]
+    # for each rule, the leaves before each of its instances in the whole
+    # graph; the start rule's single instance has base 0, and a rule the
+    # start rule does not reach has no instances
+    bases: dict[str, list[int]]
+
+
 class GraphGrammar:
     """Immutable grammar value; semantic checks live in validate()."""
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
-                 "_occurrences", "_leaf_counts", "_offsets", "_bases", "_hash",
-                 "_ext_cache", "_sim_state", "__weakref__")
+                 "_derived", "_hash", "_ext_cache", "_sim_state", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
                  edge_pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]] = ()):
@@ -83,10 +98,7 @@ class GraphGrammar:
         object.__setattr__(self, "_rules", rule_map)
         object.__setattr__(self, "edge_pairs", tuple(pairs))
         object.__setattr__(self, "_violations", None)
-        object.__setattr__(self, "_occurrences", None)
-        object.__setattr__(self, "_leaf_counts", None)
-        object.__setattr__(self, "_offsets", None)
-        object.__setattr__(self, "_bases", None)
+        object.__setattr__(self, "_derived", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ext_cache", {})
         # filled by the simulator on its first run; dies with the grammar
@@ -98,10 +110,6 @@ class GraphGrammar:
     @property
     def rules(self) -> Mapping[str, Rule]:
         return self._rules
-
-    @property
-    def nonterminals(self) -> frozenset[str]:
-        return frozenset(self._rules)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphGrammar):
@@ -139,7 +147,7 @@ class GraphGrammar:
                     v.append(f"start symbol {self.start} appears in body of rule {rule.name}")
                 elif label not in self.terminals and label not in self._rules:
                     v.append(f"rule {rule.name}: unknown label {label} at ordinal {ordinal}")
-        cycle = self._find_cycle()
+        _, cycle = self._walk_calls()
         if cycle:
             v.append("recursive grammar: " + " -> ".join(cycle))
         # a side shared by many edge pairs is checked once per call, and
@@ -184,37 +192,37 @@ class GraphGrammar:
             expected = name
         return err
 
-    def _find_cycle(self) -> list[str] | None:
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self._rules}
-        for root in self._rules:
-            if color[root] != WHITE:
+    def _walk_calls(self) -> tuple[list[str], list[str] | None]:
+        """One depth-first walk over rule calls, from each rule in turn:
+        the rules callee-first, and the first cycle met (its rules from
+        the first repeated one on, that one again at the end) or None."""
+        rules = self._rules
+        order: list[str] = []
+        cycle = None
+        state: dict[str, bool] = {}  # True while on the trail, then False
+        for root in rules:
+            if root in state:
                 continue
-            stack: list[tuple[str, Iterator[str]]] = [(root, self._callees(root))]
-            color[root] = GRAY
+            state[root] = True
             trail = [root]
+            stack = [iter(rules[root].body)]
             while stack:
-                name, callees = stack[-1]
-                advanced = False
-                for callee in callees:
-                    if color.get(callee, BLACK) == GRAY:
-                        return trail[trail.index(callee):] + [callee]
-                    if color.get(callee, BLACK) == WHITE:
-                        color[callee] = GRAY
-                        trail.append(callee)
-                        stack.append((callee, self._callees(callee)))
-                        advanced = True
+                for _, label in stack[-1]:
+                    if label not in rules:
+                        continue
+                    if label not in state:
+                        state[label] = True
+                        trail.append(label)
+                        stack.append(iter(rules[label].body))
                         break
-                if not advanced:
-                    color[name] = BLACK
-                    trail.pop()
+                    if state[label] and cycle is None:
+                        cycle = trail[trail.index(label):] + [label]
+                else:
+                    name = trail.pop()
+                    state[name] = False
+                    order.append(name)
                     stack.pop()
-        return None
-
-    def _callees(self, name: str) -> Iterator[str]:
-        for _, label in self._rules[name].body:
-            if label in self._rules:
-                yield label
+        return order, cycle
 
     # ---- derived structure (valid grammars only) ----
 
@@ -223,104 +231,56 @@ class GraphGrammar:
         if violations:
             raise GrammarValidationError(violations)
 
-    def label_occurrences(self) -> Mapping[str, tuple[tuple[str, int], ...]]:
-        """For each label, the (rule, ordinal) body positions carrying it."""
-        occ = self._occurrences
-        if occ is None:
-            acc: dict[str, list[tuple[str, int]]] = {}
-            for rule in self._rules.values():
-                for ordinal, label in rule.body:
-                    acc.setdefault(label, []).append((rule.name, ordinal))
-            occ = {label: tuple(positions) for label, positions in acc.items()}
-            object.__setattr__(self, "_occurrences", occ)
-        return occ
-
-    def _reverse_topological(self) -> list[str]:
-        # callees before callers; requires acyclicity
-        order: list[str] = []
-        state: dict[str, int] = {}
-        for root in self._rules:
-            if root in state:
-                continue
-            stack = [(root, iter(self._rules[root].body))]
-            state[root] = 1
-            while stack:
-                name, body = stack[-1]
-                pushed = False
-                for _, label in body:
-                    if label in self._rules and state.get(label, 0) == 0:
-                        state[label] = 1
-                        stack.append((label, iter(self._rules[label].body)))
-                        pushed = True
-                        break
-                if not pushed:
-                    order.append(name)
-                    state[name] = 2
-                    stack.pop()
-        return order
-
-    def _leaf_count_table(self) -> dict[str, int]:
-        table = self._leaf_counts
-        if table is None:
-            table = {}
-            for name in self._reverse_topological():
-                total = 0
-                for _, label in self._rules[name].body:
-                    total += table[label] if label in self._rules else 1
-                table[name] = total
-            object.__setattr__(self, "_leaf_counts", table)
-        return table
-
-    def _offset_table(self) -> dict[tuple[str, int], int]:
-        """Leaves strictly before each body position, within its rule."""
-        table = self._offsets
-        if table is None:
-            leaves = self._leaf_count_table()
-            table = {}
-            for rule in self._rules.values():
+    def _derivation(self) -> _Derivation:
+        derived = self._derived
+        if derived is None:
+            rules = self._rules
+            order, _ = self._walk_calls()
+            occurrences: dict[str, list[tuple[str, int]]] = {}
+            leaf_counts: dict[str, int] = {}
+            offsets: dict[tuple[str, int], int] = {}
+            for name in order:  # callees first, so their leaf counts are known
                 before = 0
-                for ordinal, label in rule.body:
-                    table[(rule.name, ordinal)] = before
-                    before += leaves[label] if label in self._rules else 1
-            object.__setattr__(self, "_offsets", table)
-        return table
-
-    def _base_table(self) -> dict[str, list[int]]:
-        """For each rule, the leaves before each of its instances in the
-        whole graph: one offset sum per step prefix from the start rule to
-        an instance; the start rule's single instance has base 0."""
-        table = self._bases
-        if table is None:
-            offsets = self._offset_table()
-            table = {name: [] for name in self._rules}
-            table[self.start] = [0]
-            for name in reversed(self._reverse_topological()):
-                own = table[name]
+                for ordinal, label in rules[name].body:
+                    # one tuple serves both tables, so the build makes no
+                    # more objects for the collector than the offsets alone
+                    position = (name, ordinal)
+                    occurrences.setdefault(label, []).append(position)
+                    offsets[position] = before
+                    before += leaf_counts[label] if label in rules else 1
+                leaf_counts[name] = before
+            for positions in occurrences.values():
+                positions.sort()
+            bases: dict[str, list[int]] = {name: [] for name in rules}
+            bases[self.start] = [0]
+            for name in reversed(order):  # callers first
+                own = bases[name]
                 if not own:
                     continue  # unreachable from the start symbol
-                for ordinal, label in self._rules[name].body:
-                    if label in self._rules:
+                for ordinal, label in rules[name].body:
+                    if label in rules:
                         shift = offsets[(name, ordinal)]
-                        table[label].extend(base + shift for base in own)
-            object.__setattr__(self, "_bases", table)
-        return table
+                        bases[label].extend(base + shift for base in own)
+            derived = _Derivation(occurrences, leaf_counts, offsets, bases)
+            object.__setattr__(self, "_derived", derived)
+        return derived
 
     def path_node(self, steps: tuple[tuple[str, int], ...]) -> int:
         """Canonical node id of a full start-anchored path (depth-first order)."""
-        offsets = self._offset_table()
+        offsets = self._derivation().offsets
         return 1 + sum(offsets[step] for step in steps)
 
     def node_count(self) -> int:
         """Number of nodes of the denoted graph (needs a valid grammar)."""
         if self.start not in self._rules:
             return 0
-        return self._leaf_count_table()[self.start]
+        return self._derivation().leaf_counts[self.start]
 
     def extensions(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
         """All one-step-longer suffixes N/k:s, in canonical order."""
         cached = self._ext_cache.get(s)
         if cached is None:
-            positions = sorted(self.label_occurrences().get(s.first_label, ()))
+            positions = self._derivation().occurrences.get(s.first_label, ())
             cached = tuple(GrammarPathSuffix(((name, ordinal),) + s.steps, s.terminal)
                            for name, ordinal in positions)
             self._ext_cache[s] = cached
@@ -398,13 +358,14 @@ def _canonical_ids(gg: GraphGrammar, s: GrammarPathSuffix) -> list[int]:
     # path_node is additive along the steps: 1 + the anchor instance's base
     # + the offsets of s's own steps, once per instance of its anchor rule
     # (per body occurrence of its terminal when s is bare)
-    bases = gg._base_table()
-    offsets = gg._offset_table()
+    derived = gg._derivation()
+    bases = derived.bases
+    offsets = derived.offsets
     if s.steps:
         shift = 1 + sum(offsets[step] for step in s.steps)
         return [base + shift for base in bases[s.steps[0][0]]]
     out: list[int] = []
-    for name, ordinal in gg.label_occurrences().get(s.terminal, ()):
+    for name, ordinal in derived.occurrences.get(s.terminal, ()):
         shift = 1 + offsets[(name, ordinal)]
         out.extend(base + shift for base in bases[name])
     return out
@@ -485,7 +446,7 @@ class PathMap:
         # per entry does both: calling the two per entry made a cold first
         # answer about 9% slower on a grammar whose paths are 11 steps deep.
         rules = gg._rules
-        offsets = gg._offset_table()
+        offsets = gg._derivation().offsets
         terminals = gg.terminals
         start = gg.start
         table: list[int | None] = [None] * (gg.node_count() + 1)
@@ -546,8 +507,9 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
         entries.append((GrammarPathSuffix(steps, terminal), i))
     # path_node(ctx + steps) is 1 + the anchor instance's base + the
     # offsets of steps, so no instance's step prefix is built
-    bases = gg._base_table()
-    offsets = gg._offset_table()
+    derived = gg._derivation()
+    bases = derived.bases
+    offsets = derived.offsets
     edges = set()
     for left, right in gg.edge_pairs:
         src = 1 + sum(offsets[step] for step in left.steps)

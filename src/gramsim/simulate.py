@@ -192,8 +192,9 @@ class _GrammarState:
         self.pre_sets: dict[SuffixSet, tuple[_RemovalIndex, int]] = {}
         # nodes a suffix stands for: one per instance of its anchor rule,
         # or for a bare terminal one per instance of each body occurrence
-        nodes = {name: len(bases) for name, bases in gg._base_table().items()}
-        occurrences = gg.label_occurrences()
+        derived = gg._derivation()
+        nodes = {name: len(bases) for name, bases in derived.bases.items()}
+        occurrences = derived.occurrences
         for t in gg.terminals:
             nodes[t] = sum(nodes[name] for name, _ in occurrences.get(t, ()))
         self._nodes = nodes
@@ -210,6 +211,12 @@ class _GrammarState:
         pairwise disjoint node sets."""
         nodes = self._nodes
         return sum(nodes[s.steps[0][0] if s.steps else s.terminal] for s in sset)
+
+    def represents_a_node(self, sset: Iterable[GrammarPathSuffix]) -> bool:
+        """Whether some element of `sset` represents a node: one anchored
+        at a rule the start rule does not reach represents none."""
+        nodes = self._nodes
+        return any(nodes[s.steps[0][0] if s.steps else s.terminal] for s in sset)
 
     def lookup(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
         found = self.contrib.get(s)
@@ -387,7 +394,7 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
             if on_step is not None:
                 on_step(GrammarSharpeningStep(u, pre_u, removed, dict(candidates)))
 
-    if all(candidates.values()):
+    if all(state.represents_a_node(c) for c in candidates.values()):
         return SimulationResult(candidates)
     return SimulationResult({})
 
@@ -398,9 +405,9 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
 
     Without a path map, ids are the canonical decompression ids; with
     one (e.g. from compress), each node's full path is translated through
-    it. Cost is linear in the matched nodes: the grammar's per-rule
-    instance offsets and the path map's table for the grammar are built
-    on the first expansion and kept.
+    it. Cost is linear in the matched nodes: the grammar's derivation
+    tables and the path map's table for the grammar are built on first
+    use and kept.
 
     Raises:
         KeyError: with the full path, if the path map has no entry for a

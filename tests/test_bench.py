@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramsim import (BenchConfig, BenchConfigError, BenchMismatchError,
-                     BenchRecord, BenchTimeoutError, parse_config, run_bench,
-                     to_csv)
+                     BenchRecord, parse_config, run_bench, to_csv)
 from gramsim.bench import CSV_HEADER
 
 from .conftest import corrupt_line
@@ -27,7 +26,6 @@ def test_parse_config_full():
     pattern_edges = 5
     seeds = 7,8
     repetitions = 3
-    timeout_ms = 250
     optimized = false
     min_count = 4
     """
@@ -35,7 +33,7 @@ def test_parse_config_full():
     assert c == BenchConfig(base_nodes=20, variations=(2, 4, 8),
                             delete_fraction=0.1, edges_per_node=1.5,
                             label_alphabet=3, pattern_nodes=4, pattern_edges=5,
-                            seeds=(7, 8), repetitions=3, timeout_ms=250.0,
+                            seeds=(7, 8), repetitions=3,
                             optimized=False, min_count=4)
 
 
@@ -49,6 +47,7 @@ def test_parse_config_defaults():
     ("base_nodes 20\n", "key = value"),
     ("base_nodes = twenty\n", "line 1"),
     ("unknown_key = 1\n", "unknown key"),
+    ("timeout_ms = 5\n", "line 1: unknown key"),
     ("optimized = maybe\n", "true or false"),
     ("variations = \n", "empty"),
     ("seeds = ,\n", "empty"),
@@ -77,7 +76,7 @@ def configs(draw):
         delete_fraction=draw(FLOATS), edges_per_node=draw(FLOATS),
         label_alphabet=draw(INTS), pattern_nodes=draw(INTS), pattern_edges=draw(INTS),
         seeds=tuple(draw(st.lists(INTS, min_size=1, max_size=3))),
-        repetitions=draw(st.integers(1, 20)), timeout_ms=draw(FLOATS),
+        repetitions=draw(st.integers(1, 20)),
         optimized=draw(st.booleans()), min_count=draw(INTS))
 
 
@@ -145,16 +144,6 @@ def test_run_bench_reports_progress():
               progress=lines.append)
     assert any("generating" in line for line in lines)
     assert any("timing" in line for line in lines)
-
-
-def test_run_bench_timeout():
-    config = BenchConfig(base_nodes=10, variations=(4,), delete_fraction=0.2,
-                         edges_per_node=1.25, label_alphabet=2, pattern_nodes=4,
-                         pattern_edges=4, seeds=(1,), repetitions=1,
-                         timeout_ms=0.0001)
-    with pytest.raises(BenchTimeoutError) as err:
-        run_bench(config)
-    assert "budget" in str(err.value)
 
 
 def test_run_bench_detects_engine_disagreement(monkeypatch):

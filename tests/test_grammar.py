@@ -11,7 +11,8 @@ from gramsim import (GrammarFormatError, GrammarPathSuffix, GrammarValidationErr
                      anchored_paths, compress, decompress, expand_by_node,
                      format_grammar, format_path_map, gen_graph, parse_grammar,
                      parse_path_map, parse_suffix, represented_node_union,
-                     represented_nodes, bare, load_graph, simulate_on_grammar)
+                     represented_nodes, bare, load_graph, simulate_on_graph,
+                     simulate_on_grammar)
 from gramsim.grammar import one_step_extensions
 
 from .conftest import corrupt_line, seeded_case
@@ -75,7 +76,16 @@ def test_parse_rejects(text, fragment):
     ("TERMINALS a\nSTART S\nRULE S => 1:S\n", "start symbol S appears in body"),
     ("TERMINALS a S\nSTART S\nRULE S => 1:a\n", "both a terminal and a nonterminal"),
     ("TERMINALS a\nSTART S\n", "start symbol S has no rule"),
-    ("TERMINALS a\nSTART S\nRULE S => 1:A\nRULE A => 1:B\nRULE B => 1:A\n", "recursive"),
+    ("TERMINALS a\nSTART S\nRULE S => 1:A\nRULE A => 1:B\nRULE B => 1:A\n",
+     "recursive grammar: A -> B -> A"),
+    # a cycle that only a later root reaches, after the start rule's walk
+    ("TERMINALS a\nSTART S\nRULE S => 1:B\nRULE B => 1:a\n"
+     "RULE X => 1:Y\nRULE Y => 1:B 2:Z\nRULE Z => 1:X\n",
+     "recursive grammar: X -> Y -> Z -> X"),
+    ("TERMINALS a\nSTART S\nRULE S => 1:A\nRULE A => 1:a 2:A\n", "recursive grammar: A -> A"),
+    # two cycles: the one the walk meets first is named
+    ("TERMINALS a\nSTART S\nRULE S => 1:A\nRULE A => 1:B 2:C\nRULE B => 1:A\nRULE C => 1:C\n",
+     "recursive grammar: A -> B -> A"),
     ("TERMINALS a\nSTART S\nRULE S => 1:a\nEDGE S/2:a S/1:a\n", "no ordinal 2"),
     ("TERMINALS a\nSTART S\nRULE S => 1:a 2:a\nEDGE a S/1:a\n", "without an anchor"),
     ("TERMINALS a\nSTART S\nRULE S => 1:A 2:A\nRULE A => 1:a\nEDGE S/1:A/1:a A/1:a\n",
@@ -98,11 +108,52 @@ def test_decompress_fig1(fig1_grammar, fig1_graph):
     assert str(pm.path_for(6)) == "S/3:CDCD/1:CD/1:c"
 
 
-def test_path_node_agrees_with_path_map(fig1_grammar):
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_path_node_agrees_with_path_map(fig1_grammar, seed):
     _, pm = decompress(fig1_grammar)
     for path, nid in pm:
         assert fig1_grammar.path_node(path.steps) == nid
     assert fig1_grammar.node_count() == 9
+    # offsets and leaf counts against a depth-first walk that uses neither
+    gg, _ = compress(seeded_case(seed, max_base=10)[0])
+    paths = list(gg.iter_full_paths())
+    for i, (steps, _) in enumerate(paths, start=1):
+        assert gg.path_node(steps) == i
+    assert gg.node_count() == len(paths)
+
+
+# U is reached from no rule, so its instances, and the edges of its
+# EDGE pair, are none; a still has a body position in U
+UNREACHED = """TERMINALS a b
+START S
+RULE A => 1:a 2:b
+RULE S => 1:A 2:b 3:A
+RULE U => 1:A 2:a
+EDGE A/1:a A/2:b
+EDGE S/2:b S/1:A/1:a
+EDGE U/1:A/2:b U/2:a
+"""
+
+
+def test_a_rule_the_start_does_not_reach_adds_no_nodes_or_edges():
+    gg = parse_grammar(UNREACHED)
+    assert gg.validate() == []
+    assert gg.node_count() == 5
+    graph, _ = decompress(gg)
+    assert graph.edges == frozenset({(1, 2), (4, 5), (3, 1)})
+    assert represented_nodes(gg, parse_suffix("U/2:a")) == frozenset()
+    assert represented_nodes(gg, parse_suffix("U/1:A/2:b")) == frozenset()
+    assert represented_nodes(gg, bare("a")) == {1, 4}
+    # a -> b -> a matches only along U's pair, so its first node's
+    # candidates are anchored at U and stand for no node
+    for text in ("1 a\n2 b\n1 2\n", "1 b\n2 a\n1 2\n", "1 a\n2 b\n3 a\n1 2\n2 3\n",
+                 "1 b\n2 a\n3 b\n1 2\n2 3\n"):
+        pattern = load_graph(text)
+        want = simulate_on_graph(graph, pattern)
+        for optimized in (False, True):
+            result = simulate_on_grammar(gg, pattern, optimized=optimized)
+            assert expand_by_node(gg, result) == want
 
 
 def test_represented_nodes(fig1_grammar):
