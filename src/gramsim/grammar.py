@@ -77,7 +77,7 @@ class GraphGrammar:
     """Immutable grammar value; semantic checks live in validate()."""
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
-                 "_derived", "_hash", "_ext_cache", "_sim_state", "__weakref__")
+                 "_derived", "_hash", "_sim_state", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
                  edge_pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]] = ()):
@@ -100,7 +100,6 @@ class GraphGrammar:
         object.__setattr__(self, "_violations", None)
         object.__setattr__(self, "_derived", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ext_cache", {})
         # filled by the simulator on its first run; dies with the grammar
         object.__setattr__(self, "_sim_state", None)
 
@@ -278,13 +277,9 @@ class GraphGrammar:
 
     def extensions(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
         """All one-step-longer suffixes N/k:s, in canonical order."""
-        cached = self._ext_cache.get(s)
-        if cached is None:
-            positions = self._derivation().occurrences.get(s.first_label, ())
-            cached = tuple(GrammarPathSuffix(((name, ordinal),) + s.steps, s.terminal)
-                           for name, ordinal in positions)
-            self._ext_cache[s] = cached
-        return cached
+        positions = self._derivation().occurrences.get(s.first_label, ())
+        return tuple(GrammarPathSuffix((position,) + s.steps, s.terminal)
+                     for position in positions)
 
     def iter_full_paths(self) -> Iterator[tuple[tuple[tuple[str, int], ...], str]]:
         """Yield (steps, terminal) of every full path in depth-first order."""
@@ -395,18 +390,18 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
     """
     suffixes = list(suffixes)
     _check_fit(gg, suffixes)
-    out: set[int] = set()
+    # with a path map, each canonical id goes straight through its table
+    table = None if path_map is None else path_map._ids_by_canonical(gg)
+    ids: list[int | None] = []
     for s in suffixes:
-        out.update(_canonical_ids(gg, s))
-    if path_map is None:
-        return frozenset(out)
-    table = path_map._ids_by_canonical(gg)
-    ids = frozenset([table[c] for c in out])
-    if None in ids:
-        missing = min(c for c in out if table[c] is None)
+        canonical = _canonical_ids(gg, s)
+        ids += canonical if table is None else map(table.__getitem__, canonical)
+    out = frozenset(ids)
+    if None in out:
+        missing = min(c for s in suffixes for c in _canonical_ids(gg, s) if table[c] is None)
         steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
         raise KeyError(GrammarPathSuffix(steps, terminal))
-    return ids
+    return out
 
 
 class PathMap:

@@ -2,28 +2,42 @@
 
 Mirrors the uncompressed engine, but candidate sets hold grammar path
 suffixes instead of node ids: a suffix stands for every decompressed node
-whose full derivation path ends with it. Both modes share one core, and
-every set in it is kept in the canonical sort_key order, in which one
-suffix is a suffix of another exactly when its key is a prefix of the
-other's. Predecessor lookup bisects the edge pairs sorted by their right
-side's key, and set subtraction bisects the sorted keys of the removal
-set, splitting a suffix into longer ones until the parts to drop become
-syntactic. Optimized mode adds deferred removals and re-coalescing. The
-grammar object holds the index and the lookups, so they die with it; an
-equal grammar builds its own.
+whose full derivation path ends with it. Both modes and the helpers below
+share one core, which runs on code strings instead of suffix objects.
+Each grammar codes every element of a sort_key, a terminal or a (rule,
+ordinal) step, as a fixed number of characters, ranked so that a
+suffix's code sorts as its sort_key does. Then `a` is a suffix of `b`
+exactly when b's code starts with a's; the codes extending a code are one
+bisect range of a sorted list; a parent drops its last element and a
+one-step extension appends one; and re-anchoring a suffix under the
+outer steps of a longer one is a concatenation. Every set in the core is
+a sorted tuple of codes. Predecessor lookup bisects the edge pairs sorted
+by their right side's code, and set subtraction bisects the sorted
+removal codes, splitting a code into its extensions until the parts to
+drop become syntactic. Optimized mode adds deferred removals and
+re-coalescing. Suffixes are coded once they are checked against the
+grammar, and results are decoded into SuffixSets on the way out. The
+grammar object holds the code table, the index and the lookups, so they
+die with it; an equal grammar builds its own.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .graph import PatternGraph
 from .grammar import GraphGrammar, PathMap, _check_fit, represented_node_union
-from .suffix import (_AFTER, GrammarPathSuffix, SuffixSet, _sort_key, bare,
-                     remove_subsumed)
+from .suffix import GrammarPathSuffix, SuffixSet
+
+# The digits of a code are the characters below _CAPACITY, and _ABOVE
+# sorts after every digit, so the codes that start with `key` are exactly
+# those in the half-open range [key, key + _ABOVE).
+_CAPACITY = sys.maxunicode
+_ABOVE = chr(_CAPACITY)
 
 
 @dataclass(frozen=True)
@@ -56,188 +70,245 @@ class SimulationResult:
         return dict(self.candidates) == dict(other.candidates)
 
 
-class _RemovalIndex:
-    """A subsumption-free removal set as its sorted keys.
-
-    A candidate's key decides it with one bisect: when the nearest key at
-    or below it is a prefix of it, that removal is a suffix of the
-    candidate (drop); otherwise, when the next key extends it, every
-    removal in the run of keys that start with its key strictly extends
-    it (split); otherwise no removal touches it (keep). Without
-    subsumption, a removal that is a suffix of the candidate is the
-    nearest key at or below it, since everything sorting between them
-    would extend that removal."""
-
-    __slots__ = ("items", "keys")
-
-    def __init__(self, removes: SuffixSet):
-        self.items = removes.items
-        self.keys = [s.sort_key for s in self.items]
+def _reduce(keys: Iterable[str]) -> tuple[str, ...]:
+    """remove_subsumed on codes: sorted, without duplicates and without
+    any code that extends another, since it names a subset of its nodes.
+    All extensions of a kept code follow it, so one sweep suffices."""
+    out = []
+    last = _ABOVE  # no code starts with it
+    for key in sorted(keys):
+        if not key.startswith(last):
+            out.append(key)
+            last = key
+    return tuple(out)
 
 
-def _leaves(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
-            index: _RemovalIndex, inside: bool) -> Iterator[GrammarPathSuffix]:
-    """The parts of `items` outside the index's suffixes, or inside them
-    when `inside` is set. A part some removal strictly extends is split
-    into its one-step extensions, each of which either leaves the
-    removals' shadow or is covered a round later; its inside parts are
-    exactly the removals below it. Subsumption-free items in canonical
-    order give parts in canonical order."""
-    keys, removals = index.keys, index.items
-    size = len(keys)
+def _outside(state: _GrammarState, items: Iterable[str],
+             removals: tuple[str, ...]) -> list[str]:
+    """The parts of `items` outside the nodes of `removals`, a sorted and
+    subsumption-free tuple of codes.
+
+    A code's nearest removal at or below it decides it with one bisect:
+    when that removal is a prefix of it, a removal covers it (drop);
+    otherwise, when the next removal extends it, it is split into its
+    one-step extensions, each of which either leaves the removals' shadow
+    or is decided a round later; otherwise no removal touches it (keep).
+    Without subsumption, a removal that is a prefix of the code is the
+    nearest one at or below it, since everything sorting between them
+    would extend that removal. Subsumption-free items in canonical order
+    give parts in canonical order."""
+    width = state.width
+    extensions = state.extensions
+    size = len(removals)
+    out = []
     stack = list(items)
     stack.reverse()
     while stack:
-        ext = stack.pop()
-        key = ext.sort_key
-        i = bisect_right(keys, key)
-        if i and key[:len(keys[i - 1])] == keys[i - 1]:
-            if inside:
-                yield ext
-        elif i < size and keys[i][:len(key)] == key:
-            if inside:
-                yield from removals[i:bisect_left(keys, key + _AFTER, i)]
-            else:
-                stack.extend(reversed(gg.extensions(ext)))
-        elif not inside:
-            yield ext
+        key = stack.pop()
+        i = bisect_right(removals, key)
+        if i and key.startswith(removals[i - 1]):
+            continue
+        if i < size and removals[i].startswith(key):
+            stack += [key + c for c in reversed(extensions[key[-width:]])]
+        else:
+            out.append(key)
+    return out
 
 
-def _coalesce(gg: GraphGrammar, items: SuffixSet) -> SuffixSet:
+def _inside(items: Iterable[str], removals: tuple[str, ...]) -> list[str]:
+    """The parts of `items` inside the nodes of `removals`, sorted and
+    subsumption-free codes: each item a removal covers, and for any other
+    item the removals that extend it."""
+    size = len(removals)
+    out = []
+    for key in items:
+        i = bisect_right(removals, key)
+        if i and key.startswith(removals[i - 1]):
+            out.append(key)
+        elif i < size and removals[i].startswith(key):
+            out += removals[i:bisect_left(removals, key + _ABOVE, i)]
+    return out
+
+
+def _coalesce(state: _GrammarState, items: tuple[str, ...]) -> tuple[str, ...]:
     """Undo splitting where it no longer distinguishes anything: when every
     one-step extension of a parent suffix is present, the family is the
     parent's exact partition and collapses back to it, and so on upwards.
     Keeps sets at the shallowest granularity that still describes the same
-    node set. `items` must be subsumption-free.
+    node set. `items` must be sorted and subsumption-free.
 
-    Families are counted by their parent's key, and only the parents
-    that survive are built. Mostly no family is complete, and `items`
-    comes back as it is."""
-    sizes = _state(gg).family_sizes
-    counts = Counter([s._key[:-1] for s in items])
-    complete = {key for key, count in counts.items() if key and count == sizes[key[-1]]}
+    Families are counted by their parent's code. Mostly no family is
+    complete, and `items` comes back as it is."""
+    width = state.width
+    extensions = state.extensions
+    counts = Counter([key[:-width] for key in items])
+    complete = {up for up, count in counts.items()
+                if up and count == len(extensions[up[-width:]])}
     if not complete:
         return items
     work = list(complete)
     while work:
-        up = work.pop()[:-1]
+        up = work.pop()[:-width]
         if up:
             counts[up] += 1
-            if counts[up] == sizes[up[-1]]:
+            if counts[up] == len(extensions[up[-width:]]):
                 complete.add(up)
                 work.append(up)
     # members of a complete family give way to its parent
-    out = [s for s in items if s._key[:-1] not in complete]
-    out.extend(GrammarPathSuffix(key[:0:-1], key[0])
-               for key in complete if key[:-1] not in complete)
-    return SuffixSet._canonical(tuple(sorted(out, key=_sort_key)))
+    out = [key for key in items if key[:-width] not in complete]
+    out += [key for key in complete if key[:-width] not in complete]
+    out.sort()
+    return tuple(out)
 
 
-def _apply_removal_pair(gg: GraphGrammar, cand: SuffixSet,
-                        old_index: _RemovalIndex, new_index: _RemovalIndex) -> SuffixSet:
-    # cand minus (old_pre \ new_pre), rewritten as (cand \ old_pre) union
-    # (cand intersect new_pre) so the removal set itself is never built.
-    kept = list(_leaves(gg, cand, old_index, False))
-    kept.extend(_leaves(gg, cand, new_index, True))
-    return _coalesce(gg, remove_subsumed(kept))
-
-
-class _PredecessorIndex:
-    """Edge pairs sorted by their right side's key. The rights `s` is a
-    suffix of, which contribute their left unchanged, are the bisect
-    range of keys that start with s's key. The rights that are proper
-    suffixes of `s`, which contribute their left re-anchored under the
-    steps of `s` they leave over, have the proper prefixes of s's key:
-    at most len(s) exact dict hits."""
-
-    __slots__ = ("_keys", "_lefts", "_runs")
-
-    def __init__(self, pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]]):
-        ordered = sorted(pairs, key=lambda pair: pair[1].sort_key)
-        self._keys = [right.sort_key for _, right in ordered]
-        self._lefts = [left for left, _ in ordered]
-        # each right's key -> its run [start, end) of the sorted pairs
-        runs: dict[tuple, list[int]] = {}
-        for i, key in enumerate(self._keys):
-            runs.setdefault(key, [i, i])[1] = i + 1
-        self._runs = runs
-
-    def lookup(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
-        key = s.sort_key
-        keys = self._keys
-        lefts = self._lefts
-        start = bisect_left(keys, key)
-        out = lefts[start:bisect_left(keys, key + _AFTER, start)]
-        steps = s.steps
-        n = len(steps)
-        runs = self._runs
-        for m in range(1, n + 1):
-            run = runs.get(key[:m])
-            if run is not None:
-                prefix = steps[:n + 1 - m]
-                out.extend(left.prepend(prefix) for left in lefts[run[0]:run[1]])
-        return tuple(out)
+def _apply_removal_pair(state: _GrammarState, cand: tuple[str, ...],
+                        old: tuple[str, ...], new: tuple[str, ...]) -> tuple[str, ...]:
+    # cand minus (old \ new), rewritten as (cand \ old) union
+    # (cand intersect new) so the removal set itself is never built; the
+    # two parts are sorted runs, which the sort in _reduce merges
+    kept = _outside(state, cand, old)
+    kept += _inside(cand, new)
+    return _coalesce(state, _reduce(kept))
 
 
 class _GrammarState:
-    """Simulation caches for one grammar object: the predecessor index, its
-    lookups per suffix and, for optimized runs, the removal index and node
-    count of the coalesced predecessor set per candidate set."""
+    """Simulation state for one grammar object.
 
-    __slots__ = ("index", "contrib", "pre_sets", "family_sizes", "_nodes")
+    The code table gives each terminal and each (rule, ordinal) step of
+    the grammar a code of `width` characters: terminals are ranked by
+    name and steps by (rule, ordinal), so codes sort as sort_key tuples
+    do. The width is the fewest characters that tell all of them apart.
+    Two tables are kept by the code of a suffix's last element, its
+    outermost step or its bare terminal: the codes its one-step
+    extensions append, in canonical order, and the nodes it stands for.
 
-    def __init__(self, gg: GraphGrammar):
-        self.index = _PredecessorIndex(gg.edge_pairs)
-        self.contrib: dict[GrammarPathSuffix, tuple[GrammarPathSuffix, ...]] = {}
-        self.pre_sets: dict[SuffixSet, tuple[_RemovalIndex, int]] = {}
-        # nodes a suffix stands for: one per instance of its anchor rule,
-        # or for a bare terminal one per instance of each body occurrence
+    The predecessor index is the edge pairs sorted by their right side's
+    code. The rights `s` is a suffix of, which contribute their left
+    unchanged, are the bisect range of codes that start with s's code.
+    The rights that are proper suffixes of `s`, which contribute their
+    left re-anchored under the steps of `s` they leave over, have the
+    proper prefixes of s's code: at most len(s) exact dict hits. A left
+    side is coded on the first lookup that returns it.
+
+    The caches hold each lookup and, for optimized runs, the coalesced
+    predecessor set and its node count per candidate set."""
+
+    __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "_rights",
+                 "_ends", "_left_sides", "_lefts", "contrib", "pre_sets")
+
+    def __init__(self, gg: GraphGrammar, capacity: int = _CAPACITY):
         derived = gg._derivation()
-        nodes = {name: len(bases) for name, bases in derived.bases.items()}
         occurrences = derived.occurrences
-        for t in gg.terminals:
-            nodes[t] = sum(nodes[name] for name, _ in occurrences.get(t, ()))
-        self._nodes = nodes
-        # one-step extensions of a suffix, by the last element of its key:
-        # its outermost step, or its terminal when it is bare
-        sizes: dict = {t: len(occurrences.get(t, ())) for t in gg.terminals}
-        for rule in gg.rules.values():
-            for ordinal, _ in rule.body:
-                sizes[(rule.name, ordinal)] = len(occurrences.get(rule.name, ()))
-        self.family_sizes = sizes
+        terminals = sorted(gg.terminals)
+        steps = sorted((rule.name, ordinal) for rule in gg.rules.values()
+                       for ordinal, _ in rule.body)
+        elements = terminals + steps
+        width = 1
+        while capacity ** width < len(elements):
+            width += 1
+        # a rank's digits in base `capacity`, most significant first
+        codes = ["".join([chr(rank // capacity ** k % capacity) for k in range(width - 1, -1, -1)])
+                 for rank in range(len(elements))]
+        self.width = width
+        # terminal or step -> its code, and back
+        self.codes: dict = dict(zip(elements, codes))
+        self._elements: dict = dict(zip(codes, elements))
+        # a suffix anchored at rule N stands for one node per instance of
+        # N, a bare terminal for one per instance of each body occurrence;
+        # the occurrences of the same label extend it
+        instances = {name: len(bases) for name, bases in derived.bases.items()}
+        for t in terminals:
+            instances[t] = sum(instances[name] for name, _ in occurrences.get(t, ()))
+        self.extensions: dict[str, tuple[str, ...]] = {}
+        self._nodes: dict[str, int] = {}
+        for element, code in zip(elements, codes):
+            label = element if isinstance(element, str) else element[0]
+            self.extensions[code] = tuple(self.codes[p] for p in occurrences.get(label, ()))
+            self._nodes[code] = instances[label]
 
-    def node_count(self, sset: Iterable[GrammarPathSuffix]) -> int:
-        """Nodes represented by `sset`, whose elements must cover
-        pairwise disjoint node sets."""
+        rights = [self.encode(right) for _, right in gg.edge_pairs]
+        order = sorted(range(len(rights)), key=rights.__getitem__)
+        self._rights = [rights[i] for i in order]
+        # each right's code -> the end of its run of the sorted pairs
+        self._ends = dict(zip(self._rights, range(1, len(order) + 1)))
+        self._left_sides = [gg.edge_pairs[i][0] for i in order]
+        self._lefts: list[str | None] = [None] * len(order)
+        self.contrib: dict[str, tuple[str, ...]] = {}
+        self.pre_sets: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
+
+    def encode(self, s: GrammarPathSuffix) -> str:
+        """The code of `s`, which must fit the grammar."""
+        codes = self.codes
+        return codes[s.terminal] + "".join([codes[step] for step in reversed(s.steps)])
+
+    def decode(self, key: str) -> GrammarPathSuffix:
+        width = self.width
+        parts = key if width == 1 else [key[i:i + width] for i in range(0, len(key), width)]
+        elements = self._elements
+        return GrammarPathSuffix(tuple([elements[part] for part in parts[:0:-1]]),
+                                 elements[parts[0]])
+
+    def decode_set(self, keys: Iterable[str]) -> SuffixSet:
+        """The SuffixSet of `keys`, which must be distinct and sorted."""
+        return SuffixSet._canonical(tuple(map(self.decode, keys)))
+
+    def node_count(self, keys: Iterable[str]) -> int:
+        """Nodes represented by `keys`, whose suffixes must cover pairwise
+        disjoint node sets."""
+        width = self.width
         nodes = self._nodes
-        return sum(nodes[s.steps[0][0] if s.steps else s.terminal] for s in sset)
+        return sum([nodes[key[-width:]] for key in keys])
 
-    def represents_a_node(self, sset: Iterable[GrammarPathSuffix]) -> bool:
-        """Whether some element of `sset` represents a node: one anchored
-        at a rule the start rule does not reach represents none."""
+    def represents_a_node(self, keys: Iterable[str]) -> bool:
+        """Whether some suffix of `keys` represents a node: one anchored at
+        a rule the start rule does not reach represents none."""
+        width = self.width
         nodes = self._nodes
-        return any(nodes[s.steps[0][0] if s.steps else s.terminal] for s in sset)
+        return any(nodes[key[-width:]] for key in keys)
 
-    def lookup(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
-        found = self.contrib.get(s)
-        if found is None:
-            found = self.index.lookup(s)
-            self.contrib[s] = found
+    def _left_codes(self, start: int, end: int) -> list[str]:
+        lefts = self._lefts
+        found = lefts[start:end]
+        if None in found:
+            sides = self._left_sides
+            for i in range(start, end):
+                if lefts[i] is None:
+                    lefts[i] = self.encode(sides[i])
+            found = lefts[start:end]
         return found
 
-    def predecessors(self, sset: Iterable[GrammarPathSuffix]) -> SuffixSet:
-        out: list[GrammarPathSuffix] = []
-        for s in sset:
-            out.extend(self.lookup(s))
-        return remove_subsumed(out)
+    def lookup(self, key: str) -> tuple[str, ...]:
+        """Codes of the suffix-level predecessors of `key`, deduplicated
+        neither by value nor by subsumption."""
+        found = self.contrib.get(key)
+        if found is None:
+            rights = self._rights
+            start = bisect_left(rights, key)
+            out = self._left_codes(start, bisect_left(rights, key + _ABOVE, start))
+            ends = self._ends
+            width = self.width
+            for m in range(width, len(key), width):
+                right = key[:m]
+                end = ends.get(right)
+                if end is not None:
+                    tail = key[m:]
+                    lefts = self._left_codes(bisect_left(rights, right, 0, end), end)
+                    out += [left + tail for left in lefts]
+            found = self.contrib[key] = tuple(out)
+        return found
 
-    def coalesced_predecessors(self, gg: GraphGrammar,
-                               sset: SuffixSet) -> tuple[_RemovalIndex, int]:
-        cached = self.pre_sets.get(sset)
+    def predecessors(self, keys: Iterable[str]) -> tuple[str, ...]:
+        out: list[str] = []
+        lookup = self.lookup
+        for key in keys:
+            out += lookup(key)
+        return _reduce(out)
+
+    def coalesced_predecessors(self, keys: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+        cached = self.pre_sets.get(keys)
         if cached is None:
-            pre = _coalesce(gg, self.predecessors(sset))
-            cached = (_RemovalIndex(pre), self.node_count(pre))
-            self.pre_sets[sset] = cached
+            pre = _coalesce(self, self.predecessors(keys))
+            cached = self.pre_sets[keys] = (pre, self.node_count(pre))
         return cached
 
 
@@ -262,7 +333,8 @@ def predecessor_suffixes_of(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet
         ValueError: if `s` does not fit the grammar.
     """
     _check_fit(gg, [s])
-    return SuffixSet(_state(gg).lookup(s))
+    state = _state(gg)
+    return state.decode_set(sorted(set(state.lookup(state.encode(s)))))
 
 
 def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffix]) -> SuffixSet:
@@ -274,7 +346,8 @@ def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffi
     """
     candidates = list(candidates)
     _check_fit(gg, candidates)
-    return _state(gg).predecessors(candidates)
+    state = _state(gg)
+    return state.decode_set(state.predecessors(map(state.encode, candidates)))
 
 
 def suffix_set_difference(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
@@ -288,7 +361,10 @@ def suffix_set_difference(gg: GraphGrammar, items: Iterable[GrammarPathSuffix],
     """
     items, removes = list(items), list(removes)
     _check_fit(gg, items + removes)
-    return SuffixSet(_leaves(gg, items, _RemovalIndex(remove_subsumed(removes)), False))
+    state = _state(gg)
+    encode = state.encode
+    kept = _outside(state, map(encode, items), _reduce(map(encode, removes)))
+    return state.decode_set(sorted(set(kept)))
 
 
 def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
@@ -320,14 +396,14 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
         raise ValueError("grammar denotes an empty graph")
 
     state = _state(gg)
-    all_terminals = SuffixSet(bare(t) for t in gg.terminals)
-    empty = SuffixSet()
-    candidates = {u: SuffixSet([bare(pattern.label(u))]) if pattern.label(u) in gg.terminals
-                  else empty for u in pattern.node_ids}
+    codes = state.codes
+    all_terminals = tuple(sorted(codes[t] for t in gg.terminals))
+    candidates = {u: (codes[pattern.label(u)],) if pattern.label(u) in gg.terminals
+                  else () for u in pattern.node_ids}
     # None marks "never sharpened", matching the plain-graph engine: the
     # first visit of each pattern node must run even when its label set
     # covers everything
-    previous: dict[int, SuffixSet | None] = {u: None for u in pattern.node_ids}
+    previous: dict[int, tuple[str, ...] | None] = {u: None for u in pattern.node_ids}
     pattern_pred: dict[int, list[int]] = {u: [] for u in pattern.node_ids}
     for src, dst in sorted(pattern.edges):
         pattern_pred[dst].append(src)
@@ -336,9 +412,9 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
     queued = set(pattern.node_ids)
 
     if optimized:
-        start = (_RemovalIndex(all_terminals), gg.node_count())
+        start = (all_terminals, gg.node_count())
         prev_pre = {u: start for u in pattern.node_ids}
-        pending: dict[int, list[tuple[_RemovalIndex, _RemovalIndex]]] = {
+        pending: dict[int, list[tuple[tuple[str, ...], tuple[str, ...]]]] = {
             u: [] for u in pattern.node_ids}
         while queue:
             u = queue.popleft()
@@ -347,27 +423,29 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
             if updates:
                 pending[u] = []
                 cand = candidates[u]
-                for old_index, new_index in updates:
+                for old, new in updates:
                     if not cand:
                         break
-                    cand = _apply_removal_pair(gg, cand, old_index, new_index)
+                    cand = _apply_removal_pair(state, cand, old, new)
                 candidates[u] = cand
             if candidates[u] == previous[u]:
                 continue
             previous[u] = candidates[u]
-            pre_index, pre_count = state.coalesced_predecessors(gg, candidates[u])
-            old_index, old_count = prev_pre[u]
+            if not pattern_pred[u]:
+                continue  # nothing reads the pre set of a node without predecessors
+            pre, pre_count = state.coalesced_predecessors(candidates[u])
+            old, old_count = prev_pre[u]
             # enqueue only on a real predecessor loss; a reshaped but
             # node-equal pre set must not keep the queue alive. Pre sets
             # only shrink and their elements cover disjoint node sets, so
             # a loss is exactly a drop in the node count
-            if pattern_pred[u] and pre_count < old_count:
+            if pre_count < old_count:
                 for u2 in pattern_pred[u]:
-                    pending[u2].append((old_index, pre_index))
+                    pending[u2].append((old, pre))
                     if u2 not in queued:
                         queue.append(u2)
                         queued.add(u2)
-            prev_pre[u] = (pre_index, pre_count)
+            prev_pre[u] = (pre, pre_count)
     else:
         previous_pre = {u: all_terminals for u in pattern.node_ids}
         while queue:
@@ -376,15 +454,14 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
             if candidates[u] == previous[u]:
                 continue
             previous[u] = candidates[u]
+            if not pattern_pred[u] and on_step is None:
+                continue  # nothing reads the pre set of a node without predecessors
             pre_u = state.predecessors(candidates[u])
             # every set here is subsumption-free and in canonical order,
             # so its leaves are too
-            removed = SuffixSet._canonical(tuple(
-                _leaves(gg, previous_pre[u], _RemovalIndex(pre_u), False)))
-            removed_index = _RemovalIndex(removed)
+            removed = tuple(_outside(state, previous_pre[u], pre_u))
             for u2 in pattern_pred[u]:
-                narrowed = SuffixSet._canonical(tuple(
-                    _leaves(gg, candidates[u2], removed_index, False)))
+                narrowed = tuple(_outside(state, candidates[u2], removed))
                 if narrowed != candidates[u2]:
                     candidates[u2] = narrowed
                     if u2 not in queued:
@@ -392,10 +469,12 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
                         queued.add(u2)
             previous_pre[u] = pre_u
             if on_step is not None:
-                on_step(GrammarSharpeningStep(u, pre_u, removed, dict(candidates)))
+                decode = state.decode_set
+                on_step(GrammarSharpeningStep(u, decode(pre_u), decode(removed), {
+                    v: decode(c) for v, c in candidates.items()}))
 
     if all(state.represents_a_node(c) for c in candidates.values()):
-        return SimulationResult(candidates)
+        return SimulationResult({u: state.decode_set(c) for u, c in candidates.items()})
     return SimulationResult({})
 
 

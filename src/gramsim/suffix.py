@@ -86,22 +86,6 @@ class GrammarPathSuffix:
 _sort_key = GrammarPathSuffix.sort_key.fget
 
 
-class _After:
-    """Sorts after every step, so the keys that start with `key` are
-    exactly those in the half-open range [key, key + _AFTER)."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __gt__(self, other: object) -> bool:
-        return True
-
-
-_AFTER = (_After(),)
-
-
 def bare(terminal: str) -> GrammarPathSuffix:
     """The zero-step suffix for a terminal label."""
     return GrammarPathSuffix((), terminal)
@@ -182,8 +166,7 @@ class SuffixSet:
 
     Ordering is by GrammarPathSuffix.sort_key, which tells distinct
     suffixes apart, so two SuffixSets hold the same suffixes exactly when
-    their ordered items are equal. Every item has its key computed, so
-    code inside the package may read it as `_key`.
+    their ordered items are equal.
     """
 
     __slots__ = ("_items", "_hash")
@@ -200,8 +183,7 @@ class SuffixSet:
 
     @classmethod
     def _canonical(cls, items: tuple[GrammarPathSuffix, ...]) -> "SuffixSet":
-        """Wrap `items`, which must be distinct, in canonical order and
-        have their keys computed."""
+        """Wrap `items`, which must be distinct and in canonical order."""
         sset = object.__new__(cls)
         sset._items = items
         sset._hash = None

@@ -12,10 +12,10 @@ from gramsim import (GrammarValidationError, GraphGrammar, SimulationResult,
                      SuffixSet, bare, compress, decompress, expand_by_node,
                      expand_to_nodes, format_grammar, load_graph, parse_grammar,
                      parse_suffix, predecessors, predecessor_suffixes,
-                     remove_subsumed, represented_node_union, simulate_on_graph,
+                     represented_node_union, simulate_on_graph,
                      simulate_on_grammar, suffix_set_difference)
 from gramsim import simulate
-from gramsim.simulate import (_coalesce, _GrammarState, _leaves, _RemovalIndex, _state,
+from gramsim.simulate import (_coalesce, _GrammarState, _inside, _reduce, _state,
                               predecessor_suffixes_of)
 from gramsim.suffix import is_suffix_of
 
@@ -151,6 +151,20 @@ def test_optimized_emits_no_steps(fig1_grammar, cd_pattern):
     assert steps == []
 
 
+def test_a_node_without_pattern_predecessors_looks_nothing_up(fig1_grammar):
+    # nothing reads the pre set of a node no pattern edge enters, unless
+    # plain mode reports it through on_step
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    pattern = load_graph("1 c\n")
+    for optimized in (True, False):
+        assert texts(simulate_on_grammar(gg, pattern, optimized=optimized).candidates[1]) == {"c"}
+    state = _state(gg)
+    assert not state.contrib and not state.pre_sets
+    steps = []
+    simulate_on_grammar(gg, pattern, on_step=steps.append)
+    assert [step.node for step in steps] == [1] and state.contrib
+
+
 def test_both_modes_match_baseline_on_generated_inputs():
     for seed in range(40):
         graph, pattern = seeded_case(seed, max_base=10)
@@ -177,14 +191,15 @@ def test_difference_rep_identity_on_random_sets():
         graph, _ = seeded_case(seed, max_base=8)
         gg, _ = compress(graph)
         pool = list(SuffixSet(_full_path_suffixes(gg)))
+        state = _state(gg)
         plain_graph, _ = decompress(gg)
         for _ in range(8):
             a = rng.sample(pool, min(len(pool), rng.randint(1, 5)))
             b = rng.sample(pool, min(len(pool), rng.randint(1, 5)))
             got = suffix_set_difference(gg, a, b)
             assert rep(gg, got) == rep(gg, a) - rep(gg, b)
-            inside = list(_leaves(gg, a, _RemovalIndex(remove_subsumed(b)), True))
-            assert rep(gg, inside) == rep(gg, a) & rep(gg, b)
+            inside = _inside(map(state.encode, a), _reduce(map(state.encode, b)))
+            assert rep(gg, map(state.decode, inside)) == rep(gg, a) & rep(gg, b)
             pre = predecessor_suffixes(gg, a)
             assert rep(gg, pre) == predecessors(plain_graph, rep(gg, a))
             for s in a:
@@ -195,16 +210,21 @@ def test_difference_rep_identity_on_random_sets():
 # ---- internal helpers the optimized loop is built on ----
 
 
+def coalesce(gg, suffixes):
+    state = _state(gg)
+    return state.decode_set(_coalesce(state, _reduce(map(state.encode, suffixes))))
+
+
 def test_coalesce_collapses_complete_families(fig1_grammar):
     gg = fig1_grammar
     full = [parse_suffix("CDCD/1:CD/2:d"), parse_suffix("CDCD/2:CD/2:d")]
-    got = _coalesce(gg, SuffixSet(full))
+    got = coalesce(gg, SuffixSet(full))
     assert texts(got) == {"d"}
     assert rep(gg, got) == rep(gg, full)
     partial = SuffixSet([parse_suffix("CDCD/1:CD/2:d")])
-    assert texts(_coalesce(gg, partial)) == {"CDCD/1:CD/2:d"}
+    assert texts(coalesce(gg, partial)) == {"CDCD/1:CD/2:d"}
     # a singleton occurrence collapses on its own
-    assert texts(_coalesce(gg, SuffixSet([parse_suffix("S/2:b")]))) == {"b"}
+    assert texts(coalesce(gg, SuffixSet([parse_suffix("S/2:b")]))) == {"b"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,12 +235,12 @@ def test_pre_set_node_counts_match_their_expansion(seed):
     gg, _ = compress(graph)
     simulate_on_grammar(gg, pattern, optimized=True)
     state = _state(gg)
-    all_terminals = SuffixSet(bare(t) for t in gg.terminals)
-    state.coalesced_predecessors(gg, all_terminals)
+    all_terminals = tuple(sorted(state.encode(bare(t)) for t in gg.terminals))
+    state.coalesced_predecessors(all_terminals)
     assert state.node_count(all_terminals) == gg.node_count()
-    for sset, (_, count) in state.pre_sets.items():
-        pre = _coalesce(gg, state.predecessors(sset))
-        assert count == state.node_count(pre) == len(rep(gg, pre))
+    for keys, (_, count) in state.pre_sets.items():
+        pre = _coalesce(state, state.predecessors(keys))
+        assert count == state.node_count(pre) == len(rep(gg, map(state.decode, pre)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,7 +250,7 @@ def test_predecessor_index_lookup_matches_its_definition(seed):
     # under the steps s has beyond r when r is a proper suffix of s
     graph, _ = seeded_case(seed, max_base=10)
     gg, _ = compress(graph)
-    index = _state(gg).index
+    state = _state(gg)
     for s in _full_path_suffixes(gg):
         want = Counter()
         for left, right in gg.edge_pairs:
@@ -238,7 +258,49 @@ def test_predecessor_index_lookup_matches_its_definition(seed):
                 want[left] += 1
             elif is_suffix_of(right, s):
                 want[left.prepend(s.steps[:len(s.steps) - len(right.steps)])] += 1
-        assert Counter(index.lookup(s)) == want, s
+        assert Counter(map(state.decode, state.lookup(state.encode(s)))) == want, s
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([None, 2, 3, 5]))
+def test_codes_follow_the_suffix_algebra(seed, capacity):
+    # codes, of one or more characters per key element, must order, nest,
+    # extend and count as the suffixes they stand for
+    graph, _ = seeded_case(seed, max_base=10)
+    gg, _ = compress(graph)
+    state = _state(gg) if capacity is None else _GrammarState(gg, capacity)
+    width = state.width
+    suffixes = sorted(_full_path_suffixes(gg), key=lambda s: s.sort_key)
+    codes = [state.encode(s) for s in suffixes]
+    assert [state.decode(key) for key in codes] == suffixes
+    assert sorted(codes) == codes
+    for s, key in zip(suffixes, codes):
+        assert len(key) == width * (1 + len(s))
+        assert [state.decode(key + c) for c in state.extensions[key[-width:]]] == list(
+            gg.extensions(s))
+        assert state.node_count([key]) == len(rep(gg, [s]))
+    for a, ka in zip(suffixes, codes):
+        for b, kb in zip(suffixes, codes):
+            assert kb.startswith(ka) == is_suffix_of(a, b)
+
+
+@pytest.mark.parametrize("capacity", [2, 3, 6])
+def test_codes_wider_than_one_character_simulate_the_same(capacity):
+    # a grammar with more terminals and steps than one character codes
+    # gets wider codes, which must give the same sets as one-character ones
+    for seed in range(12):
+        graph, pattern = seeded_case(seed, max_base=10)
+        gg, pm = compress(graph)
+        narrow = parse_grammar(format_grammar(gg))
+        state = _GrammarState(gg, capacity)
+        assert state.width > 1
+        object.__setattr__(gg, "_sim_state", state)
+        want = simulate_on_graph(graph, pattern)
+        for optimized in (False, True):
+            got = simulate_on_grammar(gg, pattern, optimized=optimized)
+            assert got == simulate_on_grammar(narrow, pattern, optimized=optimized)
+            assert expand_by_node(gg, got, pm) == want
+        assert _state(gg) is state and _state(narrow).width == 1
 
 
 def _suffix_text(sset):
