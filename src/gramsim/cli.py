@@ -140,6 +140,9 @@ def _cmd_gen_pattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.repetitions is not None and args.repetitions < 1:
+        # a timing needs one sample; checked before anything is generated
+        raise _UsageError("--repetitions must be at least 1")
     config = parse_config(_read_text(args.config))
     overrides = {}
     if args.seed is not None:

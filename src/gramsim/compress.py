@@ -10,23 +10,11 @@ becomes the start rule.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graph import LabeledGraph
 from .grammar import GraphGrammar, PathMap, Rule
 from .suffix import GrammarPathSuffix, bare
-
-
-@dataclass(frozen=True)
-class Digram:
-    """Edge shape: label path under the source, label path under the target."""
-
-    source_path: GrammarPathSuffix
-    target_path: GrammarPathSuffix
-
-    def __str__(self) -> str:
-        return f"({self.source_path}, {self.target_path})"
 
 
 class WorkGraph:
@@ -41,14 +29,10 @@ class WorkGraph:
     maps it back): the intern table maps (step, id) to the id of that path
     with `step` in front, so each distinct path is built once, and
     `node_paths`, `edges` and the `by_digram` keys hold ints. The table
-    belongs to the run; clones share it, as ids are only ever added, and
-    it is freed with the last of them. `digram_census` and
-    `replace_digram` translate by value, so any equal suffix is a key.
+    belongs to the run and is freed with it.
     """
 
-    def __init__(self, graph: LabeledGraph | None):
-        if graph is None:
-            return  # clone() fills the fields
+    def __init__(self, graph: LabeledGraph):
         if len(graph) == 0:
             raise ValueError("cannot compress an empty graph")
         self.labels: dict[int, str] = dict(graph.nodes)
@@ -76,36 +60,6 @@ class WorkGraph:
             if src != dst:
                 self.by_digram.setdefault((record[1], record[3]), set()).add((src, dst, eid))
 
-    def clone(self) -> "WorkGraph":
-        other = WorkGraph(None)
-        other.labels = dict(self.labels)
-        other.terminals = self.terminals
-        other.paths = self.paths
-        other.path_ids = self.path_ids
-        other.interned = self.interned
-        other.node_paths = {nid: dict(paths) for nid, paths in self.node_paths.items()}
-        other.edges = dict(self.edges)
-        other.touching = {nid: set(eids) for nid, eids in self.touching.items()}
-        other.by_digram = {key: set(entries) for key, entries in self.by_digram.items()}
-        other.rules = list(self.rules)
-        other.rule_pairs = list(self.rule_pairs)
-        other.max_ordinal = self.max_ordinal
-        return other
-
-    @property
-    def nodes(self) -> tuple[tuple[int, str], ...]:
-        return tuple(sorted(self.labels.items()))
-
-    @property
-    def work_edges(self) -> frozenset[tuple[int, GrammarPathSuffix, int, GrammarPathSuffix]]:
-        paths = self.paths
-        return frozenset((src, paths[sp], dst, paths[dp])
-                         for src, sp, dst, dp in self.edges.values())
-
-    def size(self) -> int:
-        # grammar size if we stopped now: every rule body is 2 nodes
-        return len(self.labels) + len(self.edges) + 3 * len(self.rules)
-
     def path_id(self, path: GrammarPathSuffix) -> int:
         """The id of `path`, given a fresh one if this run has not seen it."""
         pid = self.path_ids.get(path)
@@ -121,9 +75,6 @@ class WorkGraph:
         if out is None:
             out = self.interned[key] = self.path_id(self.paths[pid].prepend((step,)))
         return out
-
-    def digram(self, key: tuple[int, int]) -> Digram:
-        return Digram(self.paths[key[0]], self.paths[key[1]])
 
     def _occurrences(self, key: tuple[int, int]) -> list[int]:
         """Greedy maximal node-disjoint occurrence set, ascending (src, dst)."""
@@ -151,13 +102,13 @@ class WorkGraph:
         Returns every digram key whose edge bucket changed. Requires a
         non-overlapping count of at least 2.
         """
-        digram = self.digram(key)
+        source, target = self.paths[key[0]], self.paths[key[1]]
         occurrences = self._occurrences(key)
         if len(occurrences) < 2:
-            raise ValueError(f"digram {digram} has non-overlapping count "
+            raise ValueError(f"digram ({source}, {target}) has non-overlapping count "
                              f"{len(occurrences)}, need at least 2")
-        self.rules.append(Rule(fresh_name, ((1, digram.source_path.first_label),
-                                            (2, digram.target_path.first_label))))
+        self.rules.append(Rule(fresh_name, ((1, source.first_label),
+                                            (2, target.first_label))))
         first = (fresh_name, 1)
         second = (fresh_name, 2)
         extend = self._extend
@@ -231,40 +182,6 @@ class WorkGraph:
             for path, original in self.node_paths[nid].items():
                 entries.append((paths[path].prepend(step), original))
         return grammar, PathMap(entries)
-
-
-def initial_work_graph(graph: LabeledGraph) -> WorkGraph:
-    """The compression start state: one work node and edge per original."""
-    return WorkGraph(graph)
-
-
-def digram_census(wg: WorkGraph) -> dict[Digram, int]:
-    """Non-overlapping occurrence counts of every digram present.
-
-    Occurrences are chosen greedily in ascending (src, dst) ordinal order,
-    never sharing a node; self-loop work edges are never occurrences.
-    """
-    out = {}
-    for key in wg.by_digram:
-        count = wg.count_nonoverlapping(key)
-        if count:
-            out[wg.digram(key)] = count
-    return out
-
-
-def replace_digram(wg: WorkGraph, digram: Digram, fresh_name: str) -> WorkGraph:
-    """A new WorkGraph with every counted occurrence of `digram` replaced.
-
-    Raises:
-        ValueError: if the digram's non-overlapping count is below 2, or
-            fresh_name is a terminal or an existing rule's name.
-    """
-    if fresh_name in wg.terminals or any(r.name == fresh_name for r in wg.rules):
-        raise ValueError(f"fresh name {fresh_name} already in use")
-    clone = wg.clone()
-    clone.replace((clone.path_id(digram.source_path), clone.path_id(digram.target_path)),
-                  fresh_name)
-    return clone
 
 
 def _allocate_names(terminals: frozenset[str]):

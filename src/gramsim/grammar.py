@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import LabeledGraph, valid_label
-from .suffix import GrammarPathSuffix, SuffixSet, _parse_suffix
+from .suffix import GrammarPathSuffix, _parse_suffix
 
 
 class GrammarFormatError(ValueError):
@@ -52,9 +52,6 @@ class Rule:
             seen.add(ordinal)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_by_ordinal", dict(body))
-
-    def label_at(self, ordinal: int) -> str | None:
-        return self._by_ordinal.get(ordinal)
 
 
 class _Derivation(NamedTuple):
@@ -264,22 +261,11 @@ class GraphGrammar:
             object.__setattr__(self, "_derived", derived)
         return derived
 
-    def path_node(self, steps: tuple[tuple[str, int], ...]) -> int:
-        """Canonical node id of a full start-anchored path (depth-first order)."""
-        offsets = self._derivation().offsets
-        return 1 + sum(offsets[step] for step in steps)
-
     def node_count(self) -> int:
         """Number of nodes of the denoted graph (needs a valid grammar)."""
         if self.start not in self._rules:
             return 0
         return self._derivation().leaf_counts[self.start]
-
-    def extensions(self, s: GrammarPathSuffix) -> tuple[GrammarPathSuffix, ...]:
-        """All one-step-longer suffixes N/k:s, in canonical order."""
-        positions = self._derivation().occurrences.get(s.first_label, ())
-        return tuple(GrammarPathSuffix((position,) + s.steps, s.terminal)
-                     for position in positions)
 
     def iter_full_paths(self) -> Iterator[tuple[tuple[tuple[str, int], ...], str]]:
         """Yield (steps, terminal) of every full path in depth-first order."""
@@ -308,22 +294,6 @@ class GraphGrammar:
 # ---- path semantics ----
 
 
-def one_step_extensions(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
-    """All suffixes one rule step longer than `s`.
-
-    Empty for a suffix already anchored at the start symbol (it occurs in
-    no body) and for labels that occur in no body at all.
-
-    Raises:
-        ValueError: if the first label of `s` is unknown to the grammar.
-    """
-    gg.ensure_valid()
-    first = s.first_label
-    if first not in gg.terminals and first not in gg.rules:
-        raise ValueError(f"unknown first label {first} in suffix {s}")
-    return SuffixSet(gg.extensions(s))
-
-
 def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
     """Raise GrammarValidationError if `gg` is invalid, else ValueError with
     the first suffix of `suffixes` that does not fit it."""
@@ -334,25 +304,11 @@ def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
             raise ValueError(err)
 
 
-def anchored_paths(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
-    """All full start-anchored paths that end with `s`."""
-    _check_fit(gg, [s])
-    start = gg.start
-    out = []
-    work = [s]
-    while work:
-        cur = work.pop()
-        if cur.steps and cur.steps[0][0] == start:
-            out.append(cur)
-        else:
-            work.extend(gg.extensions(cur))
-    return SuffixSet(out)
-
-
 def _canonical_ids(gg: GraphGrammar, s: GrammarPathSuffix) -> list[int]:
-    # path_node is additive along the steps: 1 + the anchor instance's base
-    # + the offsets of s's own steps, once per instance of its anchor rule
-    # (per body occurrence of its terminal when s is bare)
+    # a full path's canonical id, 1 + the offsets of its steps, is additive
+    # along the steps: 1 + the anchor instance's base + the offsets of s's
+    # own steps, once per instance of its anchor rule (per body occurrence
+    # of its terminal when s is bare)
     derived = gg._derivation()
     bases = derived.bases
     offsets = derived.offsets
@@ -364,19 +320,6 @@ def _canonical_ids(gg: GraphGrammar, s: GrammarPathSuffix) -> list[int]:
         shift = 1 + offsets[(name, ordinal)]
         out.extend(base + shift for base in bases[name])
     return out
-
-
-def represented_nodes(gg: GraphGrammar, s: GrammarPathSuffix) -> frozenset[int]:
-    """Canonical ids of the decompressed nodes whose full path ends with `s`.
-
-    Equals {gg.path_node(p.steps) for p in anchored_paths(gg, s)} without
-    building those paths.
-
-    Raises:
-        ValueError: if `s` does not fit the grammar.
-    """
-    _check_fit(gg, [s])
-    return frozenset(_canonical_ids(gg, s))
 
 
 def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
@@ -436,10 +379,11 @@ class PathMap:
             return dense[1]
         # The map's own entries fill the table: an entry that is a full path
         # of gg (anchored at its start rule, fitting it as suffix_violation
-        # checks) lands at its canonical id, path_node's 1 + its steps'
-        # offsets; any other entry names no node of gg. One innermost-out walk
-        # per entry does both: calling the two per entry made a cold first
-        # answer about 9% slower on a grammar whose paths are 11 steps deep.
+        # checks) lands at its canonical id, 1 + its steps' offsets; any
+        # other entry names no node of gg. One innermost-out walk per entry
+        # does both: a separate fit check and offset sum per entry made a
+        # cold first answer about 9% slower on a grammar whose paths are 11
+        # steps deep.
         rules = gg._rules
         offsets = gg._derivation().offsets
         terminals = gg.terminals
@@ -461,9 +405,6 @@ class PathMap:
                 table[cid] = nid
         self._dense = (weakref.ref(gg), table)
         return table
-
-    def path_for(self, nid: int) -> GrammarPathSuffix:
-        return self._by_node[nid]
 
     def __len__(self) -> int:
         return len(self._by_path)
@@ -500,8 +441,8 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
     for i, (steps, terminal) in enumerate(gg.iter_full_paths(), start=1):
         nodes.append((i, terminal))
         entries.append((GrammarPathSuffix(steps, terminal), i))
-    # path_node(ctx + steps) is 1 + the anchor instance's base + the
-    # offsets of steps, so no instance's step prefix is built
+    # the canonical id of ctx + steps is 1 + the anchor instance's base +
+    # the offsets of steps, so no instance's step prefix is built
     derived = gg._derivation()
     bases = derived.bases
     offsets = derived.offsets

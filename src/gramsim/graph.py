@@ -27,7 +27,7 @@ class LabeledGraph:
     to share across threads.
     """
 
-    __slots__ = ("_labels", "_edges", "_pred", "_succ")
+    __slots__ = ("_labels", "_edges", "_pred")
 
     def __init__(self, nodes: Iterable[tuple[int, str]], edges: Iterable[tuple[int, int]] = ()):
         labels: dict[int, str] = {}
@@ -49,7 +49,6 @@ class LabeledGraph:
         self._labels = dict(sorted(labels.items()))
         self._edges = frozenset(edge_set)
         self._pred: dict[int, frozenset[int]] | None = None
-        self._succ: dict[int, frozenset[int]] | None = None
 
     @property
     def nodes(self) -> tuple[tuple[int, str], ...]:
@@ -87,15 +86,6 @@ class LabeledGraph:
                 pred[dst].add(src)
             self._pred = {nid: frozenset(s) for nid, s in pred.items()}
         return self._pred
-
-    def successor_index(self) -> dict[int, frozenset[int]]:
-        """Map each node id to the set of its direct successors."""
-        if self._succ is None:
-            succ: dict[int, set[int]] = {nid: set() for nid in self._labels}
-            for src, dst in self._edges:
-                succ[src].add(dst)
-            self._succ = {nid: frozenset(s) for nid, s in succ.items()}
-        return self._succ
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):

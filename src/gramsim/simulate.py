@@ -71,9 +71,10 @@ class SimulationResult:
 
 
 def _reduce(keys: Iterable[str]) -> tuple[str, ...]:
-    """remove_subsumed on codes: sorted, without duplicates and without
-    any code that extends another, since it names a subset of its nodes.
-    All extensions of a kept code follow it, so one sweep suffices."""
+    """Subsumption removal on codes: sorted, without duplicates and
+    without any code that extends another, since it names a subset of its
+    nodes. All extensions of a kept code follow it, so one sweep
+    suffices."""
     out = []
     last = _ABOVE  # no code starts with it
     for key in sorted(keys):
@@ -320,21 +321,6 @@ def _state(gg: GraphGrammar) -> _GrammarState:
         state = _GrammarState(gg)
         object.__setattr__(gg, "_sim_state", state)
     return state
-
-
-def predecessor_suffixes_of(gg: GraphGrammar, s: GrammarPathSuffix) -> SuffixSet:
-    """Suffix-level predecessors of one suffix, deduplicated only.
-
-    An edge pair (l, r) contributes l whenever `s` covers r (s is a
-    suffix of r), and contributes l re-anchored under s's extra prefix
-    whenever r covers `s`.
-
-    Raises:
-        ValueError: if `s` does not fit the grammar.
-    """
-    _check_fit(gg, [s])
-    state = _state(gg)
-    return state.decode_set(sorted(set(state.lookup(state.encode(s)))))
 
 
 def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffix]) -> SuffixSet:

@@ -149,18 +149,6 @@ def _parse_suffix(text: str, step_memo: dict[str, tuple[str, int]],
     return suffix
 
 
-def is_suffix_of(shorter: GrammarPathSuffix, longer: GrammarPathSuffix) -> bool:
-    """True if `shorter` is a step-granular suffix of `longer` (reflexive)."""
-    if shorter.terminal != longer.terminal:
-        return False
-    n = len(shorter.steps)
-    if n == 0:
-        return True
-    if n > len(longer.steps):
-        return False
-    return longer.steps[-n:] == shorter.steps
-
-
 class SuffixSet:
     """A duplicate-free collection of suffixes in canonical order.
 
@@ -216,34 +204,6 @@ class SuffixSet:
             h = self._hash = hash(self._items)
         return h
 
-    @property
-    def items(self) -> tuple[GrammarPathSuffix, ...]:
-        return self._items
-
-    def union(self, other: Iterable[GrammarPathSuffix]) -> "SuffixSet":
-        return SuffixSet(self._items + tuple(other))
-
     def __repr__(self) -> str:
         return "SuffixSet({" + ", ".join(str(s) for s in self._items) + "})"
 
-
-def remove_subsumed(suffixes: Iterable[GrammarPathSuffix]) -> SuffixSet:
-    """Drop every suffix that has a shorter suffix of itself in the set.
-
-    A shorter suffix represents a superset of nodes, so only the minimal
-    elements carry information. In canonical order all extensions of a kept
-    element are contiguous right after it, and their keys start with its
-    key, so one sweep with the last kept key suffices; it drops duplicates
-    too.
-    """
-    out: list[GrammarPathSuffix] = []
-    last: tuple = ()
-    n = 0
-    for s in sorted(suffixes, key=_sort_key):
-        key = s._key
-        if n and key[:n] == last:
-            continue
-        out.append(s)
-        last = key
-        n = len(key)
-    return SuffixSet._canonical(tuple(out))

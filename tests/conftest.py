@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from gramsim import (GraphGenParams, LabeledGraph, PatternGenParams, gen_graph,
-                     gen_pattern, load_graph, parse_grammar)
+from gramsim import (GrammarPathSuffix, GraphGenParams, LabeledGraph,
+                     PatternGenParams, gen_graph, gen_pattern, load_graph,
+                     parse_grammar)
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,7 +42,9 @@ def greatest_simulation(graph: LabeledGraph, pattern: LabeledGraph) -> dict[int,
     independent of both engines."""
     rel = {(u, v) for u in pattern.node_ids for v in graph.node_ids
            if pattern.label(u) == graph.label(v)}
-    succ = graph.successor_index()
+    succ = {v: set() for v in graph.node_ids}
+    for src, dst in graph.edges:
+        succ[src].add(dst)
     changed = True
     while changed:
         changed = False
@@ -55,6 +58,26 @@ def greatest_simulation(graph: LabeledGraph, pattern: LabeledGraph) -> dict[int,
                     break
     out = {u: frozenset(v for (uu, v) in rel if uu == u) for u in pattern.node_ids}
     return out if all(out.values()) else {}
+
+
+def is_suffix_of(shorter: GrammarPathSuffix, longer: GrammarPathSuffix) -> bool:
+    """Step-granular suffix relation (reflexive): the same terminal, and
+    the steps of `shorter` are the last steps of `longer`."""
+    n = len(shorter.steps)
+    return (shorter.terminal == longer.terminal and n <= len(longer.steps)
+            and longer.steps[len(longer.steps) - n:] == shorter.steps)
+
+
+def full_path_suffixes(gg) -> set[GrammarPathSuffix]:
+    """Every suffix of every full path of `gg`, each once."""
+    return {GrammarPathSuffix(steps[k:], terminal)
+            for steps, terminal in gg.iter_full_paths() for k in range(len(steps) + 1)}
+
+
+def anchored_paths(gg, s: GrammarPathSuffix) -> list[GrammarPathSuffix]:
+    """The full paths of `gg` that end with `s`, in depth-first order."""
+    paths = (GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths())
+    return [path for path in paths if is_suffix_of(s, path)]
 
 
 def random_soup(rng: random.Random, max_nodes: int = 12,

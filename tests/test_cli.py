@@ -213,6 +213,18 @@ def test_bench_seed_override(tmp_path, capsys):
     assert rows[0].split(",")[-1] == "2"
 
 
+def test_bench_rejects_repetitions_below_one_before_generating(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("base_nodes = 8\nvariations = 2\nseeds = 1\n")
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "bench", "--config", str(config),
+                             "--repetitions", value)
+        assert code == 1
+        assert out == ""
+        assert "--repetitions must be at least 1" in err
+        assert "generating" not in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "frobnicate")[0] == 1

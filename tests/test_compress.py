@@ -1,20 +1,15 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from gramsim import (Digram, GraphGenParams, bare, compress, compression_ratio,
-                     decompress, format_grammar, format_path_map, gen_graph,
-                     graphs_isomorphic_under_map, load_graph, parse_suffix,
-                     size_metrics)
-from gramsim.compress import digram_census, initial_work_graph, replace_digram
+from gramsim import (GrammarPathSuffix, GraphGenParams, compress,
+                     compression_ratio, decompress, format_grammar,
+                     format_path_map, gen_graph, graphs_isomorphic_under_map,
+                     load_graph, size_metrics)
 
 from .conftest import random_soup, seeded_case
-
-
-def census_by_text(wg):
-    return {(str(d.source_path), str(d.target_path)): n
-            for d, n in digram_census(wg).items()}
 
 
 def assert_round_trip(graph):
@@ -29,74 +24,53 @@ def assert_round_trip(graph):
     assert graphs_isomorphic_under_map(out, graph, mapping)
 
 
+def rule_names(gg):
+    return set(gg.rules) - {gg.start}
+
+
+def start_pair_shapes(gg):
+    """The digrams left between distinct start-rule nodes, with the number
+    of edge pairs of each shape; a pair within one node is a self-loop."""
+    shapes = Counter()
+    for left, right in gg.edge_pairs:
+        if left.steps[0][0] == gg.start and left.steps[0] != right.steps[0]:
+            shapes[str(GrammarPathSuffix(left.steps[1:], left.terminal)),
+                   str(GrammarPathSuffix(right.steps[1:], right.terminal))] += 1
+    return shapes
+
+
 def test_initial_census(fig1_graph):
-    wg = initial_work_graph(fig1_graph)
-    assert census_by_text(wg) == {("c", "d"): 4, ("d", "c"): 2, ("b", "c"): 1}
-    assert wg.size() == 17
+    # (c, d) is the one digram counted four times; no digram reaches five
+    gg, _ = compress(fig1_graph, min_count=4)
+    assert rule_names(gg) == {"R1"}
+    assert gg.rules["R1"].body == ((1, "c"), (2, "d"))
+    assert [(str(left), str(right)) for left, right in gg.edge_pairs
+            if left.steps[0][0] == "R1"] == [("R1/1:c", "R1/2:d")]
+    gg, _ = compress(fig1_graph, min_count=5)
+    assert not rule_names(gg)
+    assert size_metrics(gg) == size_metrics(fig1_graph) == 17
 
 
 def test_census_counts_node_disjoint_occurrences():
     # a chain a->a->a has two (a,a) edges but they share the middle node
-    g = load_graph("1 a\n2 a\n3 a\n1 2\n2 3\n")
-    wg = initial_work_graph(g)
-    assert census_by_text(wg) == {("a", "a"): 1}
+    gg, _ = compress(load_graph("1 a\n2 a\n3 a\n1 2\n2 3\n"))
+    assert not rule_names(gg)
 
 
 def test_self_loops_are_not_digrams():
-    g = load_graph("1 a\n1 1\n")
-    assert digram_census(initial_work_graph(g)) == {}
+    assert not rule_names(compress(load_graph("1 a\n1 1\n"))[0])
+    # two node-disjoint loops would count twice if a loop were a digram
+    assert not rule_names(compress(load_graph("1 a\n2 a\n1 1\n2 2\n"))[0])
 
 
 def test_replace_digram_step(fig1_graph):
-    wg = initial_work_graph(fig1_graph)
-    wg2 = replace_digram(wg, Digram(bare("c"), bare("d")), "X")
-    assert census_by_text(wg2) == {("X/2:d", "X/1:c"): 2, ("b", "X/1:c"): 1}
-    # the original work graph is untouched
-    assert census_by_text(wg) == {("c", "d"): 4, ("d", "c"): 2, ("b", "c"): 1}
-
-
-def test_replace_digram_rejects_bad_inputs(fig1_graph):
-    wg = initial_work_graph(fig1_graph)
-    with pytest.raises(ValueError):
-        replace_digram(wg, Digram(bare("b"), bare("c")), "X")   # count 1
-    with pytest.raises(ValueError):
-        replace_digram(wg, Digram(bare("c"), bare("d")), "b")   # name in use
-    wg2 = replace_digram(wg, Digram(bare("c"), bare("d")), "X")
-    with pytest.raises(ValueError):
-        replace_digram(wg2, Digram(parse_suffix("X/2:d"), parse_suffix("X/1:c")), "X")
-    # a terminal stays taken after its last work node has been merged away
-    g = load_graph("1 c\n2 d\n3 c\n4 d\n5 c\n6 d\n7 c\n8 d\n"
-                   "1 2\n3 4\n5 6\n7 8\n2 4\n6 8\n")
-    merged = replace_digram(initial_work_graph(g), Digram(bare("c"), bare("d")), "X")
-    assert "c" not in merged.labels.values()
-    with pytest.raises(ValueError):
-        replace_digram(merged, Digram(parse_suffix("X/2:d"), parse_suffix("X/2:d")), "c")
-
-
-def work_state(wg):
-    return (wg.nodes, wg.work_edges, wg.size(), wg.rules, wg.rule_pairs, digram_census(wg))
-
-
-def test_value_equal_keys_act_like_census_keys(fig1_graph):
-    wg = replace_digram(initial_work_graph(fig1_graph), Digram(bare("c"), bare("d")), "X")
-    built = Digram(parse_suffix("X/2:d"), parse_suffix("X/1:c"))
-    census = digram_census(wg)
-    assert census[built] == 2
-    taken = next(d for d in census if d == built)
-    assert taken.source_path is not built.source_path
-    before = work_state(wg)
-    edges, node_paths = dict(wg.edges), {nid: dict(p) for nid, p in wg.node_paths.items()}
-    held = {pid for _, sp, _, dp in wg.edges.values() for pid in (sp, dp)}
-    held |= {pid for paths in wg.node_paths.values() for pid in paths}
-    shared = {pid: wg.paths[pid] for pid in held}
-    by_built = replace_digram(wg, built, "Y")
-    by_taken = replace_digram(wg, taken, "Y")
-    assert work_state(by_built) == work_state(by_taken)
-    assert by_built.node_paths == by_taken.node_paths
-    # the source is unchanged, down to the shared suffix objects it refers to
-    assert work_state(wg) == before
-    assert wg.edges == edges and wg.node_paths == node_paths
-    assert all(wg.paths[pid] is path for pid, path in shared.items())
+    # after (c, d) is replaced, the counts left are all below three
+    gg, _ = compress(fig1_graph, min_count=3)
+    assert rule_names(gg) == {"R1"}
+    assert start_pair_shapes(gg) == {("R1/2:d", "R1/1:c"): 2, ("b", "R1/1:c"): 1}
+    # the back edge 7 -> 6 now runs within one R1 node
+    assert [(str(left), str(right)) for left, right in gg.edge_pairs
+            if left.steps[0] == right.steps[0]] == [("S/4:R1/2:d", "S/4:R1/1:c")]
 
 
 def test_compress_fig1_sizes(fig1_graph):
@@ -142,6 +116,11 @@ def test_start_name_avoids_terminal_collision():
     g = load_graph("1 S\n2 S\n1 2\n")
     gg, _ = compress(g)
     assert gg.start not in gg.terminals
+    assert_round_trip(g)
+    # a fresh rule name skips terminals too
+    g = load_graph("1 R1\n2 c\n3 R1\n4 c\n1 2\n3 4\n")
+    gg, _ = compress(g)
+    assert rule_names(gg) == {"R2"}
     assert_round_trip(g)
 
 

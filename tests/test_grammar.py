@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from gramsim import (GrammarFormatError, GrammarPathSuffix, GrammarValidationError,
                      GraphGrammar, GraphGenParams, PathMap, Rule, SuffixFormatError,
-                     anchored_paths, compress, decompress, expand_by_node,
-                     format_grammar, format_path_map, gen_graph, parse_grammar,
-                     parse_path_map, parse_suffix, represented_node_union,
-                     represented_nodes, bare, load_graph, simulate_on_graph,
-                     simulate_on_grammar)
-from gramsim.grammar import one_step_extensions
+                     SuffixSet, bare, compress, decompress, expand_by_node,
+                     format_grammar, format_path_map, gen_graph, load_graph,
+                     parse_grammar, parse_path_map, parse_suffix,
+                     represented_node_union, simulate_on_graph, simulate_on_grammar)
+from gramsim.simulate import _state
 
-from .conftest import corrupt_line, seeded_case
+from .conftest import anchored_paths, corrupt_line, full_path_suffixes, seeded_case
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,7 +44,6 @@ def test_rule_validation():
         Rule("A", ((1, "x"), (1, "y")))
     # body is kept sorted by ordinal
     assert Rule("A", ((2, "y"), (1, "x"))).body == ((1, "x"), (2, "y"))
-    assert Rule("A", ((1, "x"),)).label_at(2) is None
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -105,21 +103,22 @@ def test_decompress_fig1(fig1_grammar, fig1_graph):
     assert pm.node_for(parse_suffix("S/1:CDCD/1:CD/1:c")) == 1
     assert pm.node_for(parse_suffix("S/2:b")) == 5
     assert pm.node_for(parse_suffix("S/3:CDCD/2:CD/2:d")) == 9
-    assert str(pm.path_for(6)) == "S/3:CDCD/1:CD/1:c"
+    assert [str(path) for path, nid in pm if nid == 6] == ["S/3:CDCD/1:CD/1:c"]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_path_node_agrees_with_path_map(fig1_grammar, seed):
+    # a full path stands for one node, its canonical id
     _, pm = decompress(fig1_grammar)
     for path, nid in pm:
-        assert fig1_grammar.path_node(path.steps) == nid
+        assert represented_node_union(fig1_grammar, [path]) == {nid}
     assert fig1_grammar.node_count() == 9
     # offsets and leaf counts against a depth-first walk that uses neither
     gg, _ = compress(seeded_case(seed, max_base=10)[0])
     paths = list(gg.iter_full_paths())
-    for i, (steps, _) in enumerate(paths, start=1):
-        assert gg.path_node(steps) == i
+    for i, (steps, terminal) in enumerate(paths, start=1):
+        assert represented_node_union(gg, [GrammarPathSuffix(steps, terminal)]) == {i}
     assert gg.node_count() == len(paths)
 
 
@@ -142,9 +141,9 @@ def test_a_rule_the_start_does_not_reach_adds_no_nodes_or_edges():
     assert gg.node_count() == 5
     graph, _ = decompress(gg)
     assert graph.edges == frozenset({(1, 2), (4, 5), (3, 1)})
-    assert represented_nodes(gg, parse_suffix("U/2:a")) == frozenset()
-    assert represented_nodes(gg, parse_suffix("U/1:A/2:b")) == frozenset()
-    assert represented_nodes(gg, bare("a")) == {1, 4}
+    assert represented_node_union(gg, [parse_suffix("U/2:a")]) == frozenset()
+    assert represented_node_union(gg, [parse_suffix("U/1:A/2:b")]) == frozenset()
+    assert represented_node_union(gg, [bare("a")]) == {1, 4}
     # a -> b -> a matches only along U's pair, so its first node's
     # candidates are anchored at U and stand for no node
     for text in ("1 a\n2 b\n1 2\n", "1 b\n2 a\n1 2\n", "1 a\n2 b\n3 a\n1 2\n2 3\n",
@@ -158,33 +157,49 @@ def test_a_rule_the_start_does_not_reach_adds_no_nodes_or_edges():
 
 def test_represented_nodes(fig1_grammar):
     gg = fig1_grammar
-    assert represented_nodes(gg, parse_suffix("CDCD/1:CD/2:d")) == {2, 7}
-    assert represented_nodes(gg, parse_suffix("d")) == {2, 4, 7, 9}
-    assert represented_nodes(gg, bare("b")) == {5}
-    assert represented_nodes(gg, parse_suffix("S/2:b")) == {5}
+    assert represented_node_union(gg, [parse_suffix("CDCD/1:CD/2:d")]) == {2, 7}
+    assert represented_node_union(gg, [parse_suffix("d")]) == {2, 4, 7, 9}
+    assert represented_node_union(gg, [bare("b")]) == {5}
+    assert represented_node_union(gg, [parse_suffix("S/2:b")]) == {5}
     assert represented_node_union(
         gg, [parse_suffix("CD/1:c"), parse_suffix("d")]) == {1, 2, 3, 4, 6, 7, 8, 9}
 
 
 def test_anchored_paths(fig1_grammar):
-    got = anchored_paths(fig1_grammar, parse_suffix("CD/2:d"))
-    assert {str(s) for s in got} == {
+    # a suffix stands for the nodes of the full paths that end with it
+    _, pm = decompress(fig1_grammar)
+    s = parse_suffix("CD/2:d")
+    got = anchored_paths(fig1_grammar, s)
+    assert {str(p) for p in got} == {
         "S/1:CDCD/1:CD/2:d", "S/1:CDCD/2:CD/2:d",
         "S/3:CDCD/1:CD/2:d", "S/3:CDCD/2:CD/2:d",
     }
+    assert represented_node_union(fig1_grammar, [s]) == {pm.node_for(p) for p in got}
     with pytest.raises(ValueError):
-        anchored_paths(fig1_grammar, parse_suffix("CD/1:d"))
+        represented_node_union(fig1_grammar, [parse_suffix("CD/1:d")])
+
+
+def extensions(gg, s):
+    """The one-step extensions of `s` as the simulator's code table has them."""
+    state = _state(gg)
+    key = state.encode(s)
+    return [state.decode(key + c) for c in state.extensions[key[-state.width:]]]
 
 
 def test_one_step_extensions(fig1_grammar):
     gg = fig1_grammar
-    assert {str(s) for s in one_step_extensions(gg, bare("d"))} == {"CD/2:d"}
-    assert {str(s) for s in one_step_extensions(gg, parse_suffix("CD/2:d"))} == {
-        "CDCD/1:CD/2:d", "CDCD/2:CD/2:d"}
+    assert [str(s) for s in extensions(gg, bare("d"))] == ["CD/2:d"]
+    assert [str(s) for s in extensions(gg, parse_suffix("CD/2:d"))] == [
+        "CDCD/1:CD/2:d", "CDCD/2:CD/2:d"]
     # start-anchored suffixes extend to nothing
-    assert not one_step_extensions(gg, parse_suffix("S/2:b"))
-    with pytest.raises(ValueError):
-        one_step_extensions(gg, bare("zzz"))
+    assert not extensions(gg, parse_suffix("S/2:b"))
+    # against the rule bodies: one extension per body position carrying
+    # the suffix's first label, in canonical order
+    for s in full_path_suffixes(gg):
+        want = SuffixSet(GrammarPathSuffix(((rule.name, ordinal),) + s.steps, s.terminal)
+                         for rule in gg.rules.values()
+                         for ordinal, label in rule.body if label == s.first_label)
+        assert extensions(gg, s) == list(want)
 
 
 def test_extension_partition(fig1_grammar):
@@ -192,11 +207,10 @@ def test_extension_partition(fig1_grammar):
     gg = fig1_grammar
     for text in ["d", "c", "CD/2:d", "CD/1:c"]:
         s = parse_suffix(text)
-        exts = one_step_extensions(gg, s)
-        parts = [represented_nodes(gg, e) for e in exts]
-        assert frozenset().union(*parts) == represented_nodes(gg, s)
+        parts = [represented_node_union(gg, [e]) for e in extensions(gg, s)]
+        assert frozenset().union(*parts) == represented_node_union(gg, [s])
         total = sum(len(p) for p in parts)
-        assert total == len(represented_nodes(gg, s))
+        assert total == len(represented_node_union(gg, [s]))
 
 
 def test_grammar_equality_order_insensitive():
@@ -355,13 +369,14 @@ def test_expansion_matches_anchored_paths(seed):
     # a bare terminal, and start-anchored full paths
     result = simulate_on_grammar(gg, pattern, optimized=rng.random() < 0.5)
     probes = [s for sset in result.candidates.values() for s in sset]
-    probes += [e for s in list(probes) for e in gg.extensions(s)]
+    probes += [e for s in list(probes) for e in extensions(gg, s)]
     probes.append(bare(rng.choice(sorted(gg.terminals))))
     full = [path for path, _ in pm]
     probes += rng.sample(full, min(3, len(full)))
+    _, canonical = decompress(gg)
     for s in probes:
         paths = anchored_paths(gg, s)
-        assert represented_nodes(gg, s) == {gg.path_node(p.steps) for p in paths}
+        assert represented_node_union(gg, [s]) == {canonical.node_for(p) for p in paths}
         assert represented_node_union(gg, [s], pm) == {pm.node_for(p) for p in paths}
 
 
@@ -480,7 +495,7 @@ def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
     assert comment or shaped
     if shaped:
         assert fresh is None
-        assert pm.path_for(int(tokens[1])) == parse_suffix(tokens[0])
+        assert pm.node_for(parse_suffix(tokens[0])) == int(tokens[1])
     assert parse_path_map(format_path_map(pm)) == pm
 
 
@@ -517,7 +532,7 @@ def _reference_violation(gg, s):
         rule = gg.rules.get(name)
         if rule is None:
             return f"suffix {s}: no rule named {name}"
-        label = rule.label_at(ordinal)
+        label = dict(rule.body).get(ordinal)
         if label is None:
             return f"suffix {s}: no ordinal {ordinal} in rule {name}"
         expected = s.steps[i + 1][0] if i + 1 < len(s.steps) else s.terminal

@@ -97,12 +97,9 @@ def test_predecessors_rejects_unknown_node(fig1_graph):
 
 def test_indexes_agree_with_edges(fig1_graph):
     pred = fig1_graph.predecessor_index()
-    succ = fig1_graph.successor_index()
     for (s, t) in fig1_graph.edges:
         assert s in pred[t]
-        assert t in succ[s]
     assert sum(len(v) for v in pred.values()) == len(fig1_graph.edges)
-    assert sum(len(v) for v in succ.values()) == len(fig1_graph.edges)
 
 
 def test_equality_ignores_construction_order():

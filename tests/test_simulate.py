@@ -8,18 +8,17 @@ from collections.abc import Collection, Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gramsim import (GrammarValidationError, GraphGrammar, SimulationResult,
-                     SuffixSet, bare, compress, decompress, expand_by_node,
-                     expand_to_nodes, format_grammar, load_graph, parse_grammar,
-                     parse_suffix, predecessors, predecessor_suffixes,
-                     represented_node_union, simulate_on_graph,
-                     simulate_on_grammar, suffix_set_difference)
+from gramsim import (GrammarPathSuffix, GrammarValidationError, GraphGrammar,
+                     SimulationResult, SuffixSet, bare, compress, decompress,
+                     expand_by_node, expand_to_nodes, format_grammar, load_graph,
+                     parse_grammar, parse_suffix, predecessors,
+                     predecessor_suffixes, represented_node_union,
+                     simulate_on_graph, simulate_on_grammar,
+                     suffix_set_difference)
 from gramsim import simulate
-from gramsim.simulate import (_coalesce, _GrammarState, _inside, _reduce, _state,
-                              predecessor_suffixes_of)
-from gramsim.suffix import is_suffix_of
+from gramsim.simulate import _coalesce, _GrammarState, _inside, _reduce, _state
 
-from .conftest import seeded_case
+from .conftest import full_path_suffixes, is_suffix_of, seeded_case
 
 
 def texts(suffixes):
@@ -48,10 +47,16 @@ def test_difference_drops_covered_items(fig1_grammar):
     assert texts(got) == {"d"}
 
 
+def lookup(gg, s):
+    """The predecessor index's lookup of one suffix, decoded."""
+    state = _state(gg)
+    return [state.decode(key) for key in state.lookup(state.encode(s))]
+
+
 def test_predecessors_of_single_suffix(fig1_grammar):
-    got = predecessor_suffixes_of(fig1_grammar, bare("c"))
-    # deduplicated but not subsumption-reduced
-    assert texts(got) == {"CDCD/1:CD/2:d", "S/2:b", "S/3:CDCD/1:CD/2:d"}
+    got = lookup(fig1_grammar, bare("c"))
+    # not subsumption-reduced
+    assert sorted(map(str, got)) == ["CDCD/1:CD/2:d", "S/2:b", "S/3:CDCD/1:CD/2:d"]
 
 
 def test_predecessors_of_set_are_reduced(fig1_grammar):
@@ -61,8 +66,10 @@ def test_predecessors_of_set_are_reduced(fig1_grammar):
 
 def test_predecessors_reanchor_under_longer_suffix(fig1_grammar):
     # pair (CD/1:c, CD/2:d) seen from a start-anchored copy of its target
-    got = predecessor_suffixes_of(fig1_grammar, parse_suffix("S/1:CDCD/2:CD/2:d"))
+    got = lookup(fig1_grammar, parse_suffix("S/1:CDCD/2:CD/2:d"))
     assert "S/1:CDCD/2:CD/1:c" in texts(got)
+    assert texts(predecessor_suffixes(
+        fig1_grammar, [parse_suffix("S/1:CDCD/2:CD/2:d")])) == {"S/1:CDCD/2:CD/1:c"}
 
 
 def test_predecessor_rep_identity(fig1_grammar):
@@ -81,7 +88,7 @@ def test_predecessor_rep_identity(fig1_grammar):
 
 def test_suffix_arguments_must_fit_the_grammar(fig1_grammar):
     with pytest.raises(ValueError):
-        predecessor_suffixes_of(fig1_grammar, parse_suffix("CD/1:d"))
+        predecessor_suffixes(fig1_grammar, [parse_suffix("CD/1:d")])
     with pytest.raises(ValueError):
         predecessor_suffixes(fig1_grammar, [bare("zzz")])
     with pytest.raises(ValueError):
@@ -176,21 +183,12 @@ def test_both_modes_match_baseline_on_generated_inputs():
         assert expand_by_node(gg, fast, pm) == want
 
 
-def _full_path_suffixes(gg):
-    """Every suffix of every full path of `gg`, each once."""
-    out = set()
-    for steps, terminal in gg.iter_full_paths():
-        for k in range(len(steps) + 1):
-            out.add(parse_suffix(":".join([f"{n}/{o}" for n, o in steps[k:]] + [terminal])))
-    return out
-
-
 def test_difference_rep_identity_on_random_sets():
     rng = random.Random(4242)
     for seed in range(15):
         graph, _ = seeded_case(seed, max_base=8)
         gg, _ = compress(graph)
-        pool = list(SuffixSet(_full_path_suffixes(gg)))
+        pool = list(SuffixSet(full_path_suffixes(gg)))
         state = _state(gg)
         plain_graph, _ = decompress(gg)
         for _ in range(8):
@@ -203,7 +201,7 @@ def test_difference_rep_identity_on_random_sets():
             pre = predecessor_suffixes(gg, a)
             assert rep(gg, pre) == predecessors(plain_graph, rep(gg, a))
             for s in a:
-                assert (rep(gg, predecessor_suffixes_of(gg, s))
+                assert (rep(gg, predecessor_suffixes(gg, [s]))
                         == predecessors(plain_graph, rep(gg, [s])))
 
 
@@ -251,7 +249,7 @@ def test_predecessor_index_lookup_matches_its_definition(seed):
     graph, _ = seeded_case(seed, max_base=10)
     gg, _ = compress(graph)
     state = _state(gg)
-    for s in _full_path_suffixes(gg):
+    for s in full_path_suffixes(gg):
         want = Counter()
         for left, right in gg.edge_pairs:
             if is_suffix_of(s, right):
@@ -270,14 +268,17 @@ def test_codes_follow_the_suffix_algebra(seed, capacity):
     gg, _ = compress(graph)
     state = _state(gg) if capacity is None else _GrammarState(gg, capacity)
     width = state.width
-    suffixes = sorted(_full_path_suffixes(gg), key=lambda s: s.sort_key)
+    suffixes = sorted(full_path_suffixes(gg), key=lambda s: s.sort_key)
     codes = [state.encode(s) for s in suffixes]
     assert [state.decode(key) for key in codes] == suffixes
     assert sorted(codes) == codes
     for s, key in zip(suffixes, codes):
         assert len(key) == width * (1 + len(s))
-        assert [state.decode(key + c) for c in state.extensions[key[-width:]]] == list(
-            gg.extensions(s))
+        # one extension per body position carrying s's first label
+        positions = sorted((rule.name, ordinal) for rule in gg.rules.values()
+                           for ordinal, label in rule.body if label == s.first_label)
+        assert [state.decode(key + c) for c in state.extensions[key[-width:]]] == [
+            GrammarPathSuffix((position,) + s.steps, s.terminal) for position in positions]
         assert state.node_count([key]) == len(rep(gg, [s]))
     for a, ka in zip(suffixes, codes):
         for b, kb in zip(suffixes, codes):

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gramsim import (GrammarPathSuffix, SuffixFormatError, SuffixSet, bare,
-                     parse_suffix, remove_subsumed)
-from gramsim.suffix import is_suffix_of
+                     compress, parse_suffix, represented_node_union)
+from gramsim.simulate import _reduce, _state
+
+from .conftest import full_path_suffixes, is_suffix_of, seeded_case
 
 NAMES = st.sampled_from(["S", "A", "B", "R1", "R2"])
 TERMINALS = st.sampled_from(["a", "b", "c"])
@@ -61,21 +63,25 @@ def test_parse_rejects(text):
         parse_suffix(text)
 
 
-def test_is_suffix_of_table():
-    d = parse_suffix("d")
-    cd_d = parse_suffix("CD/2:d")
-    long_d = parse_suffix("CDCD/1:CD/2:d")
-    other = parse_suffix("CDCD/2:CD/2:d")
-    assert is_suffix_of(d, d)
-    assert is_suffix_of(d, cd_d)
-    assert is_suffix_of(d, long_d)
-    assert is_suffix_of(cd_d, long_d)
-    assert not is_suffix_of(cd_d, d)
-    assert not is_suffix_of(long_d, cd_d)
-    assert not is_suffix_of(long_d, other)
-    assert not is_suffix_of(parse_suffix("c"), d)
+def test_is_suffix_of_table(fig1_grammar):
+    # on a grammar's codes, `a` is a suffix of `b` exactly when b's code
+    # starts with a's
+    state = _state(fig1_grammar)
+
+    def is_suffix(shorter, longer):
+        return state.encode(parse_suffix(longer)).startswith(state.encode(parse_suffix(shorter)))
+
+    assert is_suffix("d", "d")
+    assert is_suffix("d", "CD/2:d")
+    assert is_suffix("d", "CDCD/1:CD/2:d")
+    assert is_suffix("CD/2:d", "CDCD/1:CD/2:d")
+    assert not is_suffix("CD/2:d", "d")
+    assert not is_suffix("CDCD/1:CD/2:d", "CD/2:d")
+    assert not is_suffix("CDCD/1:CD/2:d", "CDCD/2:CD/2:d")
+    assert not is_suffix("c", "d")
     # same length, different step
-    assert not is_suffix_of(parse_suffix("CD/1:d"), parse_suffix("CD/2:d"))
+    assert not is_suffix("CD/1:c", "CD/2:d")
+    assert not is_suffix("S/1:CDCD/1:CD/2:d", "S/3:CDCD/1:CD/2:d")
 
 
 @given(suffixes(), suffixes())
@@ -115,21 +121,31 @@ def test_suffix_set_basics():
     assert parse_suffix("b") not in s
     assert s == SuffixSet([b, a])
     assert hash(s) == hash(SuffixSet([b, a]))
-    assert s.union([parse_suffix("b")]) == SuffixSet([a, b, parse_suffix("b")])
     assert not SuffixSet()
     assert s
 
 
-def test_remove_subsumed_example():
-    kept = remove_subsumed(parse_suffix(t) for t in
-                           ["d", "CD/2:d", "CDCD/1:CD/2:d", "CD/1:c"])
-    assert {str(s) for s in kept} == {"d", "CD/1:c"}
+def reduced(gg, suffixes):
+    """_reduce over the codes of `suffixes`, decoded back."""
+    state = _state(gg)
+    return [state.decode(key) for key in _reduce(map(state.encode, suffixes))]
 
 
-@given(st.lists(suffixes(), max_size=12))
-def test_remove_subsumed_properties(items):
-    kept = remove_subsumed(items)
-    # every dropped suffix has a kept suffix of itself
+def test_remove_subsumed_example(fig1_grammar):
+    kept = reduced(fig1_grammar, [parse_suffix(t) for t in
+                                  ["d", "CD/2:d", "CDCD/1:CD/2:d", "CD/1:c", "d"]])
+    assert [str(s) for s in kept] == ["CD/1:c", "d"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_remove_subsumed_properties(seed, data):
+    gg, _ = compress(seeded_case(seed, max_base=8)[0])
+    pool = sorted(full_path_suffixes(gg), key=str)
+    items = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    kept = reduced(gg, items)
+    # canonical order, and every dropped suffix has a kept suffix of itself
+    assert kept == list(SuffixSet(kept))
     for s in items:
         assert any(is_suffix_of(k, s) for k in kept)
     # kept elements are pairwise incomparable
@@ -137,5 +153,6 @@ def test_remove_subsumed_properties(items):
         for b in kept:
             if a != b:
                 assert not is_suffix_of(a, b)
-    # idempotent
-    assert remove_subsumed(kept) == kept
+    # idempotent, and the same nodes
+    assert reduced(gg, kept) == kept
+    assert represented_node_union(gg, kept) == represented_node_union(gg, items)
