@@ -19,10 +19,10 @@ from .graph import (GraphFormatError, LabeledGraph, PatternGraph,
                     save_graph)
 from .grammar import (GrammarFormatError, GrammarValidationError, GraphGrammar,
                       PathMap, Rule, decompress, format_grammar,
-                      format_path_map, parse_grammar, parse_path_map,
-                      represented_node_union)
+                      format_path_map, parse_grammar, parse_path_map)
 from .simulate import (GrammarSharpeningStep, SimulationResult, expand_by_node,
-                       expand_to_nodes, predecessor_suffixes, simulate_on_grammar,
+                       expand_to_nodes, predecessor_suffixes,
+                       represented_node_union, simulate_on_grammar,
                        suffix_set_difference)
 from .suffix import (GrammarPathSuffix, SuffixFormatError, SuffixSet, bare,
                      parse_suffix)

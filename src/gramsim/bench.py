@@ -140,8 +140,11 @@ def run_bench(config: BenchConfig,
     match, and record.
 
     Raises:
+        ValueError: repetitions below 1, before any cell is generated.
         BenchMismatchError: engines disagree (message names the cell).
     """
+    if config.repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     records = []
     for graph_index, variations in enumerate(config.variations, start=1):
         for seed in config.seeds:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import LabeledGraph, valid_label
@@ -302,49 +301,6 @@ def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
         err = gg.suffix_violation(s)
         if err:
             raise ValueError(err)
-
-
-def _canonical_ids(gg: GraphGrammar, s: GrammarPathSuffix) -> list[int]:
-    # a full path's canonical id, 1 + the offsets of its steps, is additive
-    # along the steps: 1 + the anchor instance's base + the offsets of s's
-    # own steps, once per instance of its anchor rule (per body occurrence
-    # of its terminal when s is bare)
-    derived = gg._derivation()
-    bases = derived.bases
-    offsets = derived.offsets
-    if s.steps:
-        shift = 1 + sum(offsets[step] for step in s.steps)
-        return [base + shift for base in bases[s.steps[0][0]]]
-    out: list[int] = []
-    for name, ordinal in derived.occurrences.get(s.terminal, ()):
-        shift = 1 + offsets[(name, ordinal)]
-        out.extend(base + shift for base in bases[name])
-    return out
-
-
-def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
-                           path_map: PathMap | None = None) -> frozenset[int]:
-    """All nodes represented by some suffix of `suffixes`: canonical ids,
-    or with a path map the ids it gives their full paths.
-
-    Raises:
-        ValueError: if a suffix does not fit the grammar.
-        KeyError: with the full path, if the path map has no entry for it.
-    """
-    suffixes = list(suffixes)
-    _check_fit(gg, suffixes)
-    # with a path map, each canonical id goes straight through its table
-    table = None if path_map is None else path_map._ids_by_canonical(gg)
-    ids: list[int | None] = []
-    for s in suffixes:
-        canonical = _canonical_ids(gg, s)
-        ids += canonical if table is None else map(table.__getitem__, canonical)
-    out = frozenset(ids)
-    if None in out:
-        missing = min(c for s in suffixes for c in _canonical_ids(gg, s) if table[c] is None)
-        steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
-        raise KeyError(GrammarPathSuffix(steps, terminal))
-    return out
 
 
 class PathMap:

@@ -146,6 +146,18 @@ def test_run_bench_reports_progress():
     assert any("timing" in line for line in lines)
 
 
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_run_bench_rejects_repetitions_below_one_before_generating(monkeypatch, repetitions):
+    import gramsim.bench as bench_mod
+
+    def no_generation(params):
+        raise AssertionError("generated a graph")
+
+    monkeypatch.setattr(bench_mod, "gen_graph", no_generation)
+    with pytest.raises(ValueError, match="^repetitions must be at least 1$"):
+        run_bench(BenchConfig(base_nodes=8, variations=(2,), repetitions=repetitions))
+
+
 def test_run_bench_detects_engine_disagreement(monkeypatch):
     import gramsim.bench as bench_mod
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gramsim import (GrammarPathSuffix, GrammarValidationError, GraphGrammar,
-                     SimulationResult, SuffixSet, bare, compress, decompress,
+                     PathMap, SimulationResult, SuffixSet, bare, compress, decompress,
                      expand_by_node, expand_to_nodes, format_grammar, load_graph,
                      parse_grammar, parse_suffix, predecessors,
                      predecessor_suffixes, represented_node_union,
@@ -382,3 +382,111 @@ def test_grammar_state_dies_with_its_grammar(fig1_grammar, cd_pattern):
     gc.collect()
     assert ref() is None
     assert live_states() == before
+
+
+def test_each_distinct_edge_pair_side_is_coded_once(monkeypatch):
+    graph, _ = seeded_case(3, max_base=10)
+    gg = parse_grammar(format_grammar(compress(graph)[0]))
+    sides = [s for pair in gg.edge_pairs for s in pair]
+    assert len(set(sides)) < len(sides)
+    calls = []
+    encode = _GrammarState.encode
+
+    def counted(self, s):
+        calls.append(s)
+        return encode(self, s)
+
+    monkeypatch.setattr(_GrammarState, "encode", counted)
+    state = _GrammarState(gg)
+    for key in state._rights:
+        state.lookup(key)
+    assert None not in state._lefts
+    assert len(calls) == len(set(sides))
+
+
+# ---- coded results and their expansion ----
+
+
+def _expanded(gg, result, path_map):
+    """expand_by_node's ids per pattern node, or the KeyError it raises."""
+    try:
+        return expand_by_node(gg, result, path_map)
+    except KeyError as exc:
+        return exc.args
+
+
+def _checked(gg, result, path_map):
+    """The same through represented_node_union on the decoded candidates."""
+    try:
+        return {u: represented_node_union(gg, sset, path_map)
+                for u, sset in result.candidates.items()}
+    except KeyError as exc:
+        return exc.args
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.data())
+def test_coded_results_expand_as_their_decoded_suffixes(seed, reload, optimized, data):
+    graph, pattern = seeded_case(seed, max_base=10)
+    gg, pm = compress(graph)
+    if reload:
+        gg = parse_grammar(format_grammar(gg))
+    entries = list(pm)
+    kept = data.draw(st.sets(st.integers(0, len(entries) - 1)))
+    partial = PathMap(entries[i] for i in sorted(kept))
+    other = parse_grammar(format_grammar(gg))
+    assert other == gg and other is not gg
+    checked = []
+    union = simulate.represented_node_union
+
+    def counted(*args):
+        checked.append(args)
+        return union(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "represented_node_union", counted)
+        for path_map in (None, pm, partial):
+            # expanded before `candidates` is first read, so from the codes
+            result = simulate_on_grammar(gg, pattern, optimized=optimized)
+            got = _expanded(gg, result, path_map)
+            assert not checked
+            assert got == _checked(gg, result, path_map)
+            if path_map is pm:
+                assert got == simulate_on_graph(graph, pattern)
+            # an equal grammar object that did not make the result takes
+            # the checked path, with the same ids
+            assert _expanded(other, result, path_map) == got
+            assert bool(checked) == bool(result)
+            checked.clear()
+
+
+def test_a_result_not_made_on_the_grammar_is_fit_checked(fig1_grammar, cd_pattern):
+    misfit = SimulationResult({1: SuffixSet([parse_suffix("CD/1:d")])})
+    with pytest.raises(ValueError, match="CD/1:d"):
+        expand_by_node(fig1_grammar, misfit)
+    other = parse_grammar("TERMINALS c d\nSTART S\nRULE S => 1:d 2:c\nEDGE S/2:c S/1:d\n")
+    result = simulate_on_grammar(fig1_grammar, cd_pattern)
+    with pytest.raises(ValueError):
+        expand_by_node(other, result)
+
+
+def test_a_coded_result_keeps_neither_grammar_nor_state_alive(fig1_grammar, cd_pattern):
+    def live_states():
+        return sum(isinstance(o, _GrammarState) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_states()
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    read = simulate_on_grammar(gg, cd_pattern, optimized=True)
+    want = dict(read.candidates)
+    unread = simulate_on_grammar(gg, cd_pattern, optimized=True)
+    assert expand_by_node(gg, unread) == {1: {6}, 2: {7}}
+    ref = weakref.ref(gg)
+    del gg
+    gc.collect()
+    assert ref() is None
+    assert live_states() == before
+    # the code-to-element table it holds still decodes it
+    assert unread.candidates == want and unread == read
+    # and with its grammar gone it is expanded as any other result
+    assert expand_by_node(fig1_grammar, unread) == {1: {6}, 2: {7}}
