@@ -16,18 +16,17 @@ by their right side's code, and set subtraction bisects the sorted
 removal codes, splitting a code into its extensions until the parts to
 drop become syntactic. Optimized mode adds deferred removals and
 re-coalescing. Suffixes are coded once they are checked against the
-grammar. Results stay codes until read: a SimulationResult decodes its
-SuffixSets on first read of `candidates`, and expansion turns codes into
-node ids directly, a bare terminal through its id list, which the state
-builds once. The grammar object holds the code table, the index, the
-lookups and the expansion tables, so they die with it; an equal grammar
-builds its own.
+grammar, and results are decoded into SuffixSets on the way out.
+Expansion codes a result's suffixes too and turns the codes into node
+ids, a bare terminal through its id list, which is built once per
+grammar. The grammar object holds the code table, the expansion tables,
+the index and the lookups, so they die with it; an equal grammar builds
+its own.
 """
 
 from __future__ import annotations
 
 import sys
-import weakref
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -55,44 +54,15 @@ class GrammarSharpeningStep:
     candidates: Mapping[int, SuffixSet]
 
 
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Map from pattern node to its candidate suffixes; empty when the
-    pattern has no simulation in the decompressed graph.
+    pattern has no simulation in the decompressed graph."""
 
-    A result that simulate_on_grammar returns stays coded: it holds its
-    sets as code tuples, the grammar's code-to-element table and a weak
-    reference to the grammar object, and decodes `candidates` on first
-    read. It keeps neither the grammar nor its simulation state alive."""
-
-    __slots__ = ("_candidates", "_codes", "_elements", "_width", "_grammar")
-
-    def __init__(self, candidates: Mapping[int, SuffixSet]):
-        self._candidates = candidates
-        self._codes: dict[int, tuple[str, ...]] | None = None
-        self._grammar: weakref.ref | None = None
-
-    @classmethod
-    def _coded(cls, gg: GraphGrammar, state: _GrammarState,
-               codes: dict[int, tuple[str, ...]]) -> SimulationResult:
-        result = object.__new__(cls)
-        result._candidates = None
-        result._codes = codes
-        result._elements = state._elements
-        result._width = state.width
-        result._grammar = weakref.ref(gg)
-        return result
-
-    @property
-    def candidates(self) -> Mapping[int, SuffixSet]:
-        candidates = self._candidates
-        if candidates is None:
-            elements, width = self._elements, self._width
-            candidates = self._candidates = {
-                u: _decode_set(elements, width, keys) for u, keys in self._codes.items()}
-        return candidates
+    candidates: Mapping[int, SuffixSet]
 
     def __bool__(self) -> bool:
-        return bool(self._codes if self._candidates is None else self._candidates)
+        return bool(self.candidates)
 
     @property
     def pairs(self) -> frozenset[tuple[int, GrammarPathSuffix]]:
@@ -102,20 +72,6 @@ class SimulationResult:
         if not isinstance(other, SimulationResult):
             return NotImplemented
         return dict(self.candidates) == dict(other.candidates)
-
-    def __repr__(self) -> str:
-        return f"SimulationResult(candidates={dict(self.candidates)!r})"
-
-
-def _decode(elements: dict, width: int, key: str) -> GrammarPathSuffix:
-    parts = key if width == 1 else [key[i:i + width] for i in range(0, len(key), width)]
-    return GrammarPathSuffix(tuple([elements[part] for part in parts[:0:-1]]),
-                             elements[parts[0]])
-
-
-def _decode_set(elements: dict, width: int, keys: Iterable[str]) -> SuffixSet:
-    # `keys` must be distinct and sorted
-    return SuffixSet._canonical(tuple([_decode(elements, width, key) for key in keys]))
 
 
 def _reduce(keys: Iterable[str]) -> tuple[str, ...]:
@@ -231,27 +187,29 @@ class _GrammarState:
     outermost step or its bare terminal: the codes its one-step
     extensions append, in canonical order, and the nodes it stands for.
 
-    The predecessor index is the edge pairs sorted by their right side's
-    code. The rights `s` is a suffix of, which contribute their left
-    unchanged, are the bisect range of codes that start with s's code.
-    The rights that are proper suffixes of `s`, which contribute their
-    left re-anchored under the steps of `s` they leave over, have the
-    proper prefixes of s's code: at most len(s) exact dict hits. A left
-    side is coded on the first lookup that returns it, and each distinct
-    side is coded once.
-
     The expansion tables give each step's code its body offset and the
     instance bases of its rule, so a suffix's canonical ids are 1 + the
     offsets of its steps, shifted over its anchor's bases. A bare
     terminal's ids are listed on first use and kept; in total these
     lists hold one id per node.
 
+    The predecessor index is the edge pairs sorted by their right side's
+    code, built on the first lookup, so expansion alone never builds it.
+    The rights `s` is a suffix of, which contribute their left
+    unchanged, are the bisect range of codes that start with s's code.
+    The rights that are proper suffixes of `s`, which contribute their
+    left re-anchored under the steps of `s` they leave over, have the
+    proper prefixes of s's code: at most len(s) exact dict hits. A left
+    side is coded on the first lookup that returns it. Each distinct side
+    is coded once, through a memo that is dropped once every left is
+    coded.
+
     The caches hold each lookup and, for optimized runs, the coalesced
     predecessor set and its node count per candidate set."""
 
     __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "offsets",
-                 "bases", "_bare_ids", "_side_codes", "_rights", "_ends",
-                 "_left_sides", "_lefts", "contrib", "pre_sets")
+                 "bases", "_bare_ids", "_pairs", "_side_codes", "_rights", "_ends",
+                 "_left_sides", "_lefts", "_uncoded", "contrib", "pre_sets")
 
     def __init__(self, gg: GraphGrammar, capacity: int = _CAPACITY):
         derived = gg._derivation()
@@ -291,15 +249,8 @@ class _GrammarState:
             self.extensions[code] = tuple(self.codes[p] for p in occurrences.get(label, ()))
             self._nodes[code] = instances[label]
         self._bare_ids: dict[str, list[int]] = {}
-
-        self._side_codes: dict[GrammarPathSuffix, str] = {}
-        rights = [self._side_code(right) for _, right in gg.edge_pairs]
-        order = sorted(range(len(rights)), key=rights.__getitem__)
-        self._rights = [rights[i] for i in order]
-        # each right's code -> the end of its run of the sorted pairs
-        self._ends = dict(zip(self._rights, range(1, len(order) + 1)))
-        self._left_sides = [gg.edge_pairs[i][0] for i in order]
-        self._lefts: list[str | None] = [None] * len(order)
+        self._pairs = gg.edge_pairs
+        self._rights: list[str] | None = None
         self.contrib: dict[str, tuple[str, ...]] = {}
         self.pre_sets: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
 
@@ -308,18 +259,16 @@ class _GrammarState:
         codes = self.codes
         return codes[s.terminal] + "".join([codes[step] for step in reversed(s.steps)])
 
-    def _side_code(self, s: GrammarPathSuffix) -> str:
-        code = self._side_codes.get(s)
-        if code is None:
-            code = self._side_codes[s] = self.encode(s)
-        return code
-
     def decode(self, key: str) -> GrammarPathSuffix:
-        return _decode(self._elements, self.width, key)
+        width = self.width
+        parts = key if width == 1 else [key[i:i + width] for i in range(0, len(key), width)]
+        elements = self._elements
+        return GrammarPathSuffix(tuple([elements[part] for part in parts[:0:-1]]),
+                                 elements[parts[0]])
 
     def decode_set(self, keys: Iterable[str]) -> SuffixSet:
         """The SuffixSet of `keys`, which must be distinct and sorted."""
-        return _decode_set(self._elements, self.width, keys)
+        return SuffixSet._canonical(tuple(map(self.decode, keys)))
 
     def node_count(self, keys: Iterable[str]) -> int:
         """Nodes represented by `keys`, whose suffixes must cover pairwise
@@ -335,14 +284,37 @@ class _GrammarState:
         nodes = self._nodes
         return any(nodes[key[-width:]] for key in keys)
 
+    def _side_code(self, s: GrammarPathSuffix) -> str:
+        code = self._side_codes.get(s)
+        if code is None:
+            code = self._side_codes[s] = self.encode(s)
+        return code
+
+    def _index(self) -> list[str]:
+        pairs = self._pairs
+        self._side_codes: dict[GrammarPathSuffix, str] = {}
+        rights = [self._side_code(right) for _, right in pairs]
+        order = sorted(range(len(rights)), key=rights.__getitem__)
+        self._rights = [rights[i] for i in order]
+        # each right's code -> the end of its run of the sorted pairs
+        self._ends = dict(zip(self._rights, range(1, len(order) + 1)))
+        self._left_sides = [pairs[i][0] for i in order]
+        self._lefts: list[str | None] = [None] * len(order)
+        self._uncoded = len(order)
+        return self._rights
+
     def _left_codes(self, start: int, end: int) -> list[str]:
         lefts = self._lefts
         found = lefts[start:end]
-        if None in found:
+        uncoded = found.count(None)
+        if uncoded:
             sides = self._left_sides
             for i in range(start, end):
                 if lefts[i] is None:
                     lefts[i] = self._side_code(sides[i])
+            self._uncoded -= uncoded
+            if not self._uncoded:
+                self._side_codes = self._left_sides = None
             found = lefts[start:end]
         return found
 
@@ -352,6 +324,8 @@ class _GrammarState:
         found = self.contrib.get(key)
         if found is None:
             rights = self._rights
+            if rights is None:
+                rights = self._index()
             start = bisect_left(rights, key)
             out = self._left_codes(start, bisect_left(rights, key + _ABOVE, start))
             ends = self._ends
@@ -405,39 +379,15 @@ def _state(gg: GraphGrammar) -> _GrammarState:
     return state
 
 
-def _node_ids(gg: GraphGrammar, state: _GrammarState, keys: Iterable[str],
-              table: list[int | None] | None) -> frozenset[int]:
-    """The nodes of coded suffixes `keys`: canonical ids, or the ids that
-    `table`, a path map's canonical-id table for `gg`, gives them.
-
-    A full path's canonical id, 1 + the offsets of its steps, is additive
-    along the steps, so a suffix's ids are 1 + the offsets of its own
-    steps, shifted over the bases of its anchor rule's instances."""
-    width = state.width
-    offsets = state.offsets
-    bases = state.bases
-    canonical: list[int] = []
-    for key in keys:
-        if len(key) == width:
-            canonical += state.bare_ids(key)
-            continue
-        steps = key[1:] if width == 1 else [key[i:i + width] for i in range(width, len(key), width)]
-        shift = 1 + sum(map(offsets.__getitem__, steps))
-        canonical += [base + shift for base in bases[key[-width:]]]
-    if table is None:
-        return frozenset(canonical)
-    out = frozenset(map(table.__getitem__, canonical))
-    if None in out:
-        missing = min(c for c in canonical if table[c] is None)
-        steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
-        raise KeyError(GrammarPathSuffix(steps, terminal))
-    return out
-
-
 def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
                            path_map: PathMap | None = None) -> frozenset[int]:
     """All nodes represented by some suffix of `suffixes`: canonical ids,
     or with a path map the ids it gives their full paths.
+
+    A full path's canonical id, 1 + the offsets of its steps, is additive
+    along the steps, so a suffix's ids are 1 + the offsets of its own
+    steps, shifted over the bases of its anchor rule's instances; a bare
+    terminal's ids are the grammar's kept list.
 
     Raises:
         GrammarValidationError: if the grammar is invalid.
@@ -448,8 +398,26 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
     suffixes = list(suffixes)
     _check_fit(gg, suffixes)
     state = _state(gg)
-    table = None if path_map is None else path_map._ids_by_canonical(gg)
-    return _node_ids(gg, state, map(state.encode, suffixes), table)
+    width = state.width
+    offsets = state.offsets
+    bases = state.bases
+    canonical: list[int] = []
+    for key in map(state.encode, suffixes):
+        if len(key) == width:
+            canonical += state.bare_ids(key)
+            continue
+        steps = key[1:] if width == 1 else [key[i:i + width] for i in range(width, len(key), width)]
+        shift = 1 + sum(map(offsets.__getitem__, steps))
+        canonical += [base + shift for base in bases[key[-width:]]]
+    if path_map is None:
+        return frozenset(canonical)
+    table = path_map._ids_by_canonical(gg)
+    out = frozenset(map(table.__getitem__, canonical))
+    if None in out:
+        missing = min(c for c in canonical if table[c] is None)
+        steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
+        raise KeyError(GrammarPathSuffix(steps, terminal))
+    return out
 
 
 def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffix]) -> SuffixSet:
@@ -490,9 +458,9 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
 
     Same sharpening loop and FIFO policy as simulate_on_graph, with all
     node sets replaced by suffix sets. Both modes take predecessors from
-    the same sorted index, which is built on the first run on a grammar
-    object and kept, with its lookups, for later runs on that object; an
-    equal grammar, such as a reloaded one, builds its own. With
+    the same sorted index, which is built on the first lookup on a
+    grammar object and kept, with its lookups, for later runs on that
+    object; an equal grammar, such as a reloaded one, builds its own. With
     optimized=True, removals are deferred as (before, after) predecessor
     snapshots and applied when the target node is next inspected, and
     sets are re-coalesced to the shallowest equivalent suffixes; the
@@ -589,7 +557,7 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
                     v: decode(c) for v, c in candidates.items()}))
 
     if all(state.represents_a_node(c) for c in candidates.values()):
-        return SimulationResult._coded(gg, state, candidates)
+        return SimulationResult({u: state.decode_set(c) for u, c in candidates.items()})
     return SimulationResult({})
 
 
@@ -599,27 +567,18 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
 
     Without a path map, ids are the canonical decompression ids; with
     one (e.g. from compress), each node's full path is translated through
-    it. Cost is linear in the matched nodes: the grammar's expansion
-    tables, each bare terminal's ids and the path map's table for the
-    grammar are built on first use and kept. A result that
-    simulate_on_grammar made on this same grammar object is expanded from
-    its codes, with neither a fit check nor a decode; any other result,
-    one built by hand or made on another grammar object, even an equal
-    one, goes through represented_node_union.
+    it. Each node's suffixes go through represented_node_union, so cost
+    is linear in the matched nodes: the grammar's expansion tables, each
+    bare terminal's ids and the path map's table for the grammar are
+    built on first use and kept.
 
     Raises:
-        ValueError: if a suffix of a result not made on `gg` does not
-            fit it.
+        ValueError: if a suffix of the result does not fit `gg`.
         KeyError: with the smallest full path the path map has no entry
             for, for the first pattern node that has one.
     """
-    made_on = result._grammar
-    if made_on is None or made_on() is not gg:
-        return {u: represented_node_union(gg, sset, path_map)
-                for u, sset in result.candidates.items()}
-    state = _state(gg)
-    table = None if path_map is None else path_map._ids_by_canonical(gg)
-    return {u: _node_ids(gg, state, keys, table) for u, keys in result._codes.items()}
+    return {u: represented_node_union(gg, sset, path_map)
+            for u, sset in result.candidates.items()}
 
 
 def expand_to_nodes(gg: GraphGrammar, result: SimulationResult,

@@ -384,11 +384,7 @@ def test_grammar_state_dies_with_its_grammar(fig1_grammar, cd_pattern):
     assert live_states() == before
 
 
-def test_each_distinct_edge_pair_side_is_coded_once(monkeypatch):
-    graph, _ = seeded_case(3, max_base=10)
-    gg = parse_grammar(format_grammar(compress(graph)[0]))
-    sides = [s for pair in gg.edge_pairs for s in pair]
-    assert len(set(sides)) < len(sides)
+def _count_encodes(monkeypatch):
     calls = []
     encode = _GrammarState.encode
 
@@ -397,14 +393,41 @@ def test_each_distinct_edge_pair_side_is_coded_once(monkeypatch):
         return encode(self, s)
 
     monkeypatch.setattr(_GrammarState, "encode", counted)
+    return calls
+
+
+def test_each_distinct_edge_pair_side_is_coded_once(monkeypatch):
+    graph, _ = seeded_case(3, max_base=10)
+    gg = parse_grammar(format_grammar(compress(graph)[0]))
+    sides = [s for pair in gg.edge_pairs for s in pair]
+    assert len(set(sides)) < len(sides)
+    rights = {_GrammarState.encode(_state(gg), right) for _, right in gg.edge_pairs}
+    calls = _count_encodes(monkeypatch)
     state = _GrammarState(gg)
-    for key in state._rights:
+    for key in sorted(rights):
         state.lookup(key)
     assert None not in state._lefts
     assert len(calls) == len(set(sides))
+    # with every left coded, the memo is dropped
+    assert state._side_codes is None
 
 
-# ---- coded results and their expansion ----
+def test_expansion_builds_no_predecessor_index(fig1_grammar, cd_pattern, monkeypatch):
+    suffixes = [bare("c"), parse_suffix("S/1:CDCD/2:CD/2:d"), parse_suffix("CD/1:c")]
+    want = represented_node_union(fig1_grammar, suffixes)
+    result = simulate_on_grammar(fig1_grammar, cd_pattern)
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    calls = _count_encodes(monkeypatch)
+    assert represented_node_union(gg, suffixes) == want
+    assert expand_by_node(gg, result) == {1: {6}, 2: {7}}
+    # one encode per suffix expanded, none for the edge pairs
+    assert len(calls) == len(suffixes) + len(result.pairs)
+    assert gg._sim_state._rights is None
+    assert simulate_on_grammar(gg, cd_pattern) == result
+    assert gg._sim_state._rights is not None
+
+
+# ---- expansion ----
 
 
 def _expanded(gg, result, path_map):
@@ -415,18 +438,9 @@ def _expanded(gg, result, path_map):
         return exc.args
 
 
-def _checked(gg, result, path_map):
-    """The same through represented_node_union on the decoded candidates."""
-    try:
-        return {u: represented_node_union(gg, sset, path_map)
-                for u, sset in result.candidates.items()}
-    except KeyError as exc:
-        return exc.args
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.data())
-def test_coded_results_expand_as_their_decoded_suffixes(seed, reload, optimized, data):
+def test_expansion_matches_the_graph_and_the_path_map(seed, reload, optimized, data):
     graph, pattern = seeded_case(seed, max_base=10)
     gg, pm = compress(graph)
     if reload:
@@ -434,33 +448,32 @@ def test_coded_results_expand_as_their_decoded_suffixes(seed, reload, optimized,
     entries = list(pm)
     kept = data.draw(st.sets(st.integers(0, len(entries) - 1)))
     partial = PathMap(entries[i] for i in sorted(kept))
+    result = simulate_on_grammar(gg, pattern, optimized=optimized)
+    want = simulate_on_graph(graph, pattern)
+    # the compress map's ids are the graph's, and without a map the
+    # canonical ids of the same full paths
+    path_of = {nid: path for path, nid in pm}
+    _, canonical = decompress(gg)
+    no_map = {u: frozenset(canonical.node_for(path_of[v]) for v in nodes)
+              for u, nodes in want.items()}
+    # a partial map names the smallest missing path of the first pattern
+    # node that has one
+    with_partial = want
+    for u in result.candidates:
+        missing = [path_of[v] for v in want[u] if path_of[v] not in partial]
+        if missing:
+            with_partial = (min(missing, key=canonical.node_for),)
+            break
+    # an equal grammar object that did not make the result expands it alike
     other = parse_grammar(format_grammar(gg))
     assert other == gg and other is not gg
-    checked = []
-    union = simulate.represented_node_union
-
-    def counted(*args):
-        checked.append(args)
-        return union(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "represented_node_union", counted)
-        for path_map in (None, pm, partial):
-            # expanded before `candidates` is first read, so from the codes
-            result = simulate_on_grammar(gg, pattern, optimized=optimized)
-            got = _expanded(gg, result, path_map)
-            assert not checked
-            assert got == _checked(gg, result, path_map)
-            if path_map is pm:
-                assert got == simulate_on_graph(graph, pattern)
-            # an equal grammar object that did not make the result takes
-            # the checked path, with the same ids
-            assert _expanded(other, result, path_map) == got
-            assert bool(checked) == bool(result)
-            checked.clear()
+    for grammar in (gg, other):
+        assert _expanded(grammar, result, None) == no_map
+        assert _expanded(grammar, result, pm) == want
+        assert _expanded(grammar, result, partial) == with_partial
 
 
-def test_a_result_not_made_on_the_grammar_is_fit_checked(fig1_grammar, cd_pattern):
+def test_expansion_fit_checks_every_result(fig1_grammar, cd_pattern):
     misfit = SimulationResult({1: SuffixSet([parse_suffix("CD/1:d")])})
     with pytest.raises(ValueError, match="CD/1:d"):
         expand_by_node(fig1_grammar, misfit)
@@ -470,23 +483,18 @@ def test_a_result_not_made_on_the_grammar_is_fit_checked(fig1_grammar, cd_patter
         expand_by_node(other, result)
 
 
-def test_a_coded_result_keeps_neither_grammar_nor_state_alive(fig1_grammar, cd_pattern):
+def test_a_result_keeps_neither_grammar_nor_state_alive(fig1_grammar, cd_pattern):
     def live_states():
         return sum(isinstance(o, _GrammarState) for o in gc.get_objects())
 
     gc.collect()
     before = live_states()
     gg = parse_grammar(format_grammar(fig1_grammar))
-    read = simulate_on_grammar(gg, cd_pattern, optimized=True)
-    want = dict(read.candidates)
-    unread = simulate_on_grammar(gg, cd_pattern, optimized=True)
-    assert expand_by_node(gg, unread) == {1: {6}, 2: {7}}
+    result = simulate_on_grammar(gg, cd_pattern, optimized=True)
+    assert expand_by_node(gg, result) == {1: {6}, 2: {7}}
     ref = weakref.ref(gg)
     del gg
     gc.collect()
     assert ref() is None
     assert live_states() == before
-    # the code-to-element table it holds still decodes it
-    assert unread.candidates == want and unread == read
-    # and with its grammar gone it is expanded as any other result
-    assert expand_by_node(fig1_grammar, unread) == {1: {6}, 2: {7}}
+    assert expand_by_node(fig1_grammar, result) == {1: {6}, 2: {7}}
