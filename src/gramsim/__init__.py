@@ -19,11 +19,11 @@ from .graph import (GraphFormatError, LabeledGraph, PatternGraph,
                     save_graph)
 from .grammar import (GrammarFormatError, GrammarValidationError, GraphGrammar,
                       PathMap, Rule, decompress, format_grammar,
-                      format_path_map, parse_grammar, parse_path_map)
+                      format_path_map, parse_grammar, parse_path_map,
+                      represented_node_union)
 from .simulate import (GrammarSharpeningStep, SimulationResult, expand_by_node,
                        expand_to_nodes, predecessor_suffixes,
-                       represented_node_union, simulate_on_grammar,
-                       suffix_set_difference)
+                       simulate_on_grammar, suffix_set_difference)
 from .suffix import (GrammarPathSuffix, SuffixFormatError, SuffixSet, bare,
                      parse_suffix)
 

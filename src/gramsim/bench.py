@@ -140,49 +140,56 @@ def run_bench(config: BenchConfig,
     match, and record.
 
     Raises:
-        ValueError: repetitions below 1, before any cell is generated.
+        ValueError: repetitions below 1, min_count below 2 or a cell's
+            generator parameters out of range, before any cell is
+            generated.
         BenchMismatchError: engines disagree (message names the cell).
     """
     if config.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    if config.min_count < 2:
+        raise ValueError("min_count must be at least 2")
+    # building every cell's parameters first runs their checks, so a bad
+    # cell fails the sweep before the cells ahead of it are run
+    cells = [(graph_index, seed,
+              GraphGenParams(base_nodes=config.base_nodes, variations=variations,
+                             delete_fraction=config.delete_fraction,
+                             edges_per_node=config.edges_per_node,
+                             label_alphabet=config.label_alphabet, seed=seed),
+              PatternGenParams(nodes=config.pattern_nodes, edges=config.pattern_edges,
+                               seed=seed + _PATTERN_SEED_OFFSET))
+             for graph_index, variations in enumerate(config.variations, start=1)
+             for seed in config.seeds]
     records = []
-    for graph_index, variations in enumerate(config.variations, start=1):
-        for seed in config.seeds:
-            cell = f"graphindex {graph_index}, seed {seed}"
-            if progress:
-                progress(f"{cell}: generating")
-            graph = gen_graph(GraphGenParams(
-                base_nodes=config.base_nodes, variations=variations,
-                delete_fraction=config.delete_fraction,
-                edges_per_node=config.edges_per_node,
-                label_alphabet=config.label_alphabet, seed=seed))
-            pattern = gen_pattern(
-                PatternGenParams(nodes=config.pattern_nodes, edges=config.pattern_edges,
-                                 seed=seed + _PATTERN_SEED_OFFSET),
-                graph.label_set())
-            if progress:
-                progress(f"{cell}: compressing {len(graph)} nodes")
-            grammar, path_map = compress(graph, min_count=config.min_count)
-            if progress:
-                progress(f"{cell}: timing")
-            baseline_ms, baseline_result = _timed(
-                lambda: simulate_on_graph(graph, pattern), config.repetitions)
-            grammar_ms, grammar_result = _timed(
-                lambda: simulate_on_grammar(grammar, pattern, optimized=config.optimized),
-                config.repetitions)
-            expanded = expand_by_node(grammar, grammar_result, path_map)
-            if expanded != baseline_result:
-                raise BenchMismatchError(
-                    f"engines disagree at {cell}: rerun with base_nodes={config.base_nodes} "
-                    f"variations={variations} delete_fraction={config.delete_fraction} "
-                    f"edges_per_node={config.edges_per_node} seed={seed}")
-            records.append(BenchRecord(
-                graph_index=graph_index, nodes=len(graph), edges=len(graph.edges),
-                grammar_size=size_metrics(grammar),
-                ratio=compression_ratio(graph, grammar),
-                baseline_ms=baseline_ms, grammar_ms=grammar_ms,
-                pattern_nodes=config.pattern_nodes, pattern_edges=config.pattern_edges,
-                seed=seed))
+    for graph_index, seed, graph_params, pattern_params in cells:
+        cell = f"graphindex {graph_index}, seed {seed}"
+        if progress:
+            progress(f"{cell}: generating")
+        graph = gen_graph(graph_params)
+        pattern = gen_pattern(pattern_params, graph.label_set())
+        if progress:
+            progress(f"{cell}: compressing {len(graph)} nodes")
+        grammar, path_map = compress(graph, min_count=config.min_count)
+        if progress:
+            progress(f"{cell}: timing")
+        baseline_ms, baseline_result = _timed(
+            lambda: simulate_on_graph(graph, pattern), config.repetitions)
+        grammar_ms, grammar_result = _timed(
+            lambda: simulate_on_grammar(grammar, pattern, optimized=config.optimized),
+            config.repetitions)
+        expanded = expand_by_node(grammar, grammar_result, path_map)
+        if expanded != baseline_result:
+            raise BenchMismatchError(
+                f"engines disagree at {cell}: rerun with base_nodes={config.base_nodes} "
+                f"variations={graph_params.variations} delete_fraction={config.delete_fraction} "
+                f"edges_per_node={config.edges_per_node} seed={seed}")
+        records.append(BenchRecord(
+            graph_index=graph_index, nodes=len(graph), edges=len(graph.edges),
+            grammar_size=size_metrics(grammar),
+            ratio=compression_ratio(graph, grammar),
+            baseline_ms=baseline_ms, grammar_ms=grammar_ms,
+            pattern_nodes=config.pattern_nodes, pattern_edges=config.pattern_edges,
+            seed=seed))
     return records
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import LabeledGraph, valid_label
@@ -67,6 +68,9 @@ class _Derivation(NamedTuple):
     # graph; the start rule's single instance has base 0, and a rule the
     # start rule does not reach has no instances
     bases: dict[str, list[int]]
+    # for each terminal, the canonical ids of the nodes it labels, listed
+    # on first use by represented_node_union
+    bare_ids: dict[str, list[int]]
 
 
 class GraphGrammar:
@@ -187,6 +191,26 @@ class GraphGrammar:
             expected = name
         return err
 
+    def _canonical_shift(self, s: GrammarPathSuffix) -> int | None:
+        """1 + the offsets of the steps of `s`, or None if `s` does not fit
+        this grammar, which must be valid. A full path's canonical id is
+        its shift; any other suffix's ids are its shift over the bases of
+        its anchor rule's instances."""
+        # the walk of suffix_violation, which stops at the first misfit
+        if s.terminal not in self.terminals:
+            return None
+        rules = self._rules
+        offsets = self._derivation().offsets
+        expected = s.terminal
+        shift = 1
+        for step in reversed(s.steps):
+            rule = rules.get(step[0])
+            if rule is None or rule._by_ordinal.get(step[1]) != expected:
+                return None
+            expected = step[0]
+            shift += offsets[step]
+        return shift
+
     def _walk_calls(self) -> tuple[list[str], list[str] | None]:
         """One depth-first walk over rule calls, from each rule in turn:
         the rules callee-first, and the first cycle met (its rules from
@@ -256,7 +280,7 @@ class GraphGrammar:
                     if label in rules:
                         shift = offsets[(name, ordinal)]
                         bases[label].extend(base + shift for base in own)
-            derived = _Derivation(occurrences, leaf_counts, offsets, bases)
+            derived = _Derivation(occurrences, leaf_counts, offsets, bases, {})
             object.__setattr__(self, "_derived", derived)
         return derived
 
@@ -334,31 +358,20 @@ class PathMap:
         if dense is not None and dense[0]() is gg:
             return dense[1]
         # The map's own entries fill the table: an entry that is a full path
-        # of gg (anchored at its start rule, fitting it as suffix_violation
-        # checks) lands at its canonical id, 1 + its steps' offsets; any
-        # other entry names no node of gg. One innermost-out walk per entry
-        # does both: a separate fit check and offset sum per entry made a
-        # cold first answer about 9% slower on a grammar whose paths are 11
-        # steps deep.
-        rules = gg._rules
-        offsets = gg._derivation().offsets
-        terminals = gg.terminals
+        # of gg, anchored at its start rule and fitting it, lands at its
+        # canonical id; any other entry names no node of gg. One walk per
+        # entry checks the fit and sums the offsets: a separate fit check
+        # and offset sum per entry made a cold first answer about 9% slower
+        # on a grammar whose paths are 11 steps deep.
         start = gg.start
+        shift = gg._canonical_shift
         table: list[int | None] = [None] * (gg.node_count() + 1)
         for path, nid in self._by_path.items():
             steps = path.steps
-            if not steps or steps[0][0] != start or path.terminal not in terminals:
-                continue
-            expected = path.terminal
-            cid = 1
-            for step in reversed(steps):
-                rule = rules.get(step[0])
-                if rule is None or rule._by_ordinal.get(step[1]) != expected:
-                    break
-                expected = step[0]
-                cid += offsets[step]
-            else:
-                table[cid] = nid
+            if steps and steps[0][0] == start:
+                cid = shift(path)
+                if cid is not None:
+                    table[cid] = nid
         self._dense = (weakref.ref(gg), table)
         return table
 
@@ -379,6 +392,53 @@ class PathMap:
 
     def __repr__(self) -> str:
         return f"PathMap({len(self._by_path)} paths)"
+
+
+def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
+                           path_map: PathMap | None = None) -> frozenset[int]:
+    """All nodes represented by some suffix of `suffixes`: canonical ids,
+    or with a path map the ids it gives their full paths.
+
+    A full path's canonical id, 1 + the offsets of its steps, is additive
+    along the steps, so a suffix's ids are its canonical shift over the
+    bases of its anchor rule's instances, and no full path is built. A
+    bare terminal's ids are listed once per grammar and kept.
+
+    Raises:
+        GrammarValidationError: if the grammar is invalid.
+        ValueError: if a suffix does not fit the grammar.
+        KeyError: with the smallest full path the path map has no entry
+            for.
+    """
+    gg.ensure_valid()
+    derived = gg._derivation()
+    bases = derived.bases
+    bare_ids = derived.bare_ids
+    canonical: list[int] = []
+    for s in suffixes:
+        shift = gg._canonical_shift(s)
+        if shift is None:
+            raise ValueError(gg.suffix_violation(s))
+        if s.steps:
+            canonical += [base + shift for base in bases[s.steps[0][0]]]
+            continue
+        ids = bare_ids.get(s.terminal)
+        if ids is None:
+            # one id per instance of each body position carrying it
+            ids = bare_ids[s.terminal] = []
+            for position in derived.occurrences.get(s.terminal, ()):
+                first = shift + derived.offsets[position]
+                ids += [base + first for base in bases[position[0]]]
+        canonical += ids
+    if path_map is None:
+        return frozenset(canonical)
+    table = path_map._ids_by_canonical(gg)
+    out = frozenset(map(table.__getitem__, canonical))
+    if None in out:
+        missing = min(c for c in canonical if table[c] is None)
+        steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
+        raise KeyError(GrammarPathSuffix(steps, terminal))
+    return out
 
 
 def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:

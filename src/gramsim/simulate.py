@@ -17,11 +17,10 @@ removal codes, splitting a code into its extensions until the parts to
 drop become syntactic. Optimized mode adds deferred removals and
 re-coalescing. Suffixes are coded once they are checked against the
 grammar, and results are decoded into SuffixSets on the way out.
-Expansion codes a result's suffixes too and turns the codes into node
-ids, a bare terminal through its id list, which is built once per
-grammar. The grammar object holds the code table, the expansion tables,
-the index and the lookups, so they die with it; an equal grammar builds
-its own.
+Expansion into node ids is grammar.represented_node_union, which runs on
+the grammar's derivation tables and builds no simulation state. The
+grammar object holds the code table, the index and the lookups, so they
+die with it; an equal grammar builds its own.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 from .graph import PatternGraph
-from .grammar import GraphGrammar, PathMap, _check_fit
+from .grammar import GraphGrammar, PathMap, _check_fit, represented_node_union
 from .suffix import GrammarPathSuffix, SuffixSet
 
 # The digits of a code are the characters below _CAPACITY, and _ABOVE
@@ -187,15 +185,8 @@ class _GrammarState:
     outermost step or its bare terminal: the codes its one-step
     extensions append, in canonical order, and the nodes it stands for.
 
-    The expansion tables give each step's code its body offset and the
-    instance bases of its rule, so a suffix's canonical ids are 1 + the
-    offsets of its steps, shifted over its anchor's bases. A bare
-    terminal's ids are listed on first use and kept; in total these
-    lists hold one id per node.
-
     The predecessor index is the edge pairs sorted by their right side's
-    code, built on the first lookup, so expansion alone never builds it.
-    The rights `s` is a suffix of, which contribute their left
+    code. The rights `s` is a suffix of, which contribute their left
     unchanged, are the bisect range of codes that start with s's code.
     The rights that are proper suffixes of `s`, which contribute their
     left re-anchored under the steps of `s` they leave over, have the
@@ -207,9 +198,9 @@ class _GrammarState:
     The caches hold each lookup and, for optimized runs, the coalesced
     predecessor set and its node count per candidate set."""
 
-    __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "offsets",
-                 "bases", "_bare_ids", "_pairs", "_side_codes", "_rights", "_ends",
-                 "_left_sides", "_lefts", "_uncoded", "contrib", "pre_sets")
+    __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "_side_codes",
+                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "contrib",
+                 "pre_sets")
 
     def __init__(self, gg: GraphGrammar, capacity: int = _CAPACITY):
         derived = gg._derivation()
@@ -236,21 +227,20 @@ class _GrammarState:
             instances[t] = sum(instances[name] for name, _ in occurrences.get(t, ()))
         self.extensions: dict[str, tuple[str, ...]] = {}
         self._nodes: dict[str, int] = {}
-        # step code -> its body offset, and the instance bases of its rule
-        self.offsets: dict[str, int] = {}
-        self.bases: dict[str, list[int]] = {}
         for element, code in zip(elements, codes):
-            if isinstance(element, str):
-                label = element
-            else:
-                label = element[0]
-                self.offsets[code] = derived.offsets[element]
-                self.bases[code] = derived.bases[label]
+            label = element if isinstance(element, str) else element[0]
             self.extensions[code] = tuple(self.codes[p] for p in occurrences.get(label, ()))
             self._nodes[code] = instances[label]
-        self._bare_ids: dict[str, list[int]] = {}
-        self._pairs = gg.edge_pairs
-        self._rights: list[str] | None = None
+        pairs = gg.edge_pairs
+        self._side_codes: dict[GrammarPathSuffix, str] = {}
+        rights = [self._side_code(right) for _, right in pairs]
+        order = sorted(range(len(rights)), key=rights.__getitem__)
+        self._rights = [rights[i] for i in order]
+        # each right's code -> the end of its run of the sorted pairs
+        self._ends = dict(zip(self._rights, range(1, len(order) + 1)))
+        self._left_sides = [pairs[i][0] for i in order]
+        self._lefts: list[str | None] = [None] * len(order)
+        self._uncoded = len(order)
         self.contrib: dict[str, tuple[str, ...]] = {}
         self.pre_sets: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
 
@@ -290,19 +280,6 @@ class _GrammarState:
             code = self._side_codes[s] = self.encode(s)
         return code
 
-    def _index(self) -> list[str]:
-        pairs = self._pairs
-        self._side_codes: dict[GrammarPathSuffix, str] = {}
-        rights = [self._side_code(right) for _, right in pairs]
-        order = sorted(range(len(rights)), key=rights.__getitem__)
-        self._rights = [rights[i] for i in order]
-        # each right's code -> the end of its run of the sorted pairs
-        self._ends = dict(zip(self._rights, range(1, len(order) + 1)))
-        self._left_sides = [pairs[i][0] for i in order]
-        self._lefts: list[str | None] = [None] * len(order)
-        self._uncoded = len(order)
-        return self._rights
-
     def _left_codes(self, start: int, end: int) -> list[str]:
         lefts = self._lefts
         found = lefts[start:end]
@@ -324,8 +301,6 @@ class _GrammarState:
         found = self.contrib.get(key)
         if found is None:
             rights = self._rights
-            if rights is None:
-                rights = self._index()
             start = bisect_left(rights, key)
             out = self._left_codes(start, bisect_left(rights, key + _ABOVE, start))
             ends = self._ends
@@ -354,20 +329,6 @@ class _GrammarState:
             cached = self.pre_sets[keys] = (pre, self.node_count(pre))
         return cached
 
-    def bare_ids(self, key: str) -> list[int]:
-        """Canonical ids of the bare terminal coded `key`: one per instance
-        of each body position carrying it."""
-        ids = self._bare_ids.get(key)
-        if ids is None:
-            offsets = self.offsets
-            bases = self.bases
-            ids = []
-            for step in self.extensions[key]:
-                shift = 1 + offsets[step]
-                ids += [base + shift for base in bases[step]]
-            self._bare_ids[key] = ids
-        return ids
-
 
 def _state(gg: GraphGrammar) -> _GrammarState:
     # grammars are immutable, so the state lives on the grammar object
@@ -377,47 +338,6 @@ def _state(gg: GraphGrammar) -> _GrammarState:
         state = _GrammarState(gg)
         object.__setattr__(gg, "_sim_state", state)
     return state
-
-
-def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
-                           path_map: PathMap | None = None) -> frozenset[int]:
-    """All nodes represented by some suffix of `suffixes`: canonical ids,
-    or with a path map the ids it gives their full paths.
-
-    A full path's canonical id, 1 + the offsets of its steps, is additive
-    along the steps, so a suffix's ids are 1 + the offsets of its own
-    steps, shifted over the bases of its anchor rule's instances; a bare
-    terminal's ids are the grammar's kept list.
-
-    Raises:
-        GrammarValidationError: if the grammar is invalid.
-        ValueError: if a suffix does not fit the grammar.
-        KeyError: with the smallest full path the path map has no entry
-            for.
-    """
-    suffixes = list(suffixes)
-    _check_fit(gg, suffixes)
-    state = _state(gg)
-    width = state.width
-    offsets = state.offsets
-    bases = state.bases
-    canonical: list[int] = []
-    for key in map(state.encode, suffixes):
-        if len(key) == width:
-            canonical += state.bare_ids(key)
-            continue
-        steps = key[1:] if width == 1 else [key[i:i + width] for i in range(width, len(key), width)]
-        shift = 1 + sum(map(offsets.__getitem__, steps))
-        canonical += [base + shift for base in bases[key[-width:]]]
-    if path_map is None:
-        return frozenset(canonical)
-    table = path_map._ids_by_canonical(gg)
-    out = frozenset(map(table.__getitem__, canonical))
-    if None in out:
-        missing = min(c for c in canonical if table[c] is None)
-        steps, terminal = next(islice(gg.iter_full_paths(), missing - 1, None))
-        raise KeyError(GrammarPathSuffix(steps, terminal))
-    return out
 
 
 def predecessor_suffixes(gg: GraphGrammar, candidates: Iterable[GrammarPathSuffix]) -> SuffixSet:
@@ -458,9 +378,9 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
 
     Same sharpening loop and FIFO policy as simulate_on_graph, with all
     node sets replaced by suffix sets. Both modes take predecessors from
-    the same sorted index, which is built on the first lookup on a
-    grammar object and kept, with its lookups, for later runs on that
-    object; an equal grammar, such as a reloaded one, builds its own. With
+    the same sorted index, which is built on the first run on a grammar
+    object and kept, with its lookups, for later runs on that object; an
+    equal grammar, such as a reloaded one, builds its own. With
     optimized=True, removals are deferred as (before, after) predecessor
     snapshots and applied when the target node is next inspected, and
     sets are re-coalesced to the shallowest equivalent suffixes; the
@@ -568,9 +488,9 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
     Without a path map, ids are the canonical decompression ids; with
     one (e.g. from compress), each node's full path is translated through
     it. Each node's suffixes go through represented_node_union, so cost
-    is linear in the matched nodes: the grammar's expansion tables, each
+    is linear in the matched nodes: the grammar's derivation tables, each
     bare terminal's ids and the path map's table for the grammar are
-    built on first use and kept.
+    built on first use and kept, and no simulation state is built.
 
     Raises:
         ValueError: if a suffix of the result does not fit `gg`.

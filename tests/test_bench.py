@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +156,20 @@ def test_run_bench_rejects_repetitions_below_one_before_generating(monkeypatch, 
     monkeypatch.setattr(bench_mod, "gen_graph", no_generation)
     with pytest.raises(ValueError, match="^repetitions must be at least 1$"):
         run_bench(BenchConfig(base_nodes=8, variations=(2,), repetitions=repetitions))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # compress rejects it, but only once the first graph is generated
+    ({"min_count": 1}, "min_count must be at least 2"),
+    # a later cell's parameters, after the first cell would have run
+    ({"variations": (2, 0)}, "variations must be at least 1"),
+    ({"pattern_nodes": 2, "pattern_edges": 5}, "edges exceed"),
+])
+def test_run_bench_rejects_a_bad_cell_before_generating(overrides, message):
+    lines = []
+    with pytest.raises(ValueError, match=message):
+        run_bench(replace(TINY, **overrides), progress=lines.append)
+    assert not any("generating" in line for line in lines)
 
 
 def test_run_bench_detects_engine_disagreement(monkeypatch):

@@ -553,6 +553,10 @@ def _positions(gg):
 def test_suffix_violation_matches_the_step_walk(seed, data):
     graph, _ = seeded_case(seed, max_base=10)
     gg, pm = compress(graph)
+    # a full path's shift is the id decompress numbers it with
+    _, canonical = decompress(gg)
+    for path, _ in pm:
+        assert gg._canonical_shift(path) == canonical.node_for(path)
     fitting = [path for path, _ in pm] + [s for pair in gg.edge_pairs for s in pair]
     s = data.draw(st.sampled_from(fitting))
     steps = list(s.steps[data.draw(st.integers(0, len(s.steps))):])
@@ -587,6 +591,8 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     assert message == _reference_violation(gg, probe)
     # the last corruption leaves its own step (or the end) misfitting
     assert (message is None) == (not kinds)
+    # the shift walk fits exactly the suffixes suffix_violation passes
+    assert (gg._canonical_shift(probe) is None) == (message is not None)
 
 
 def test_validate_lists_a_repeated_bad_side_once_per_occurrence(fig1_grammar):

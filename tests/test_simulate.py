@@ -412,19 +412,18 @@ def test_each_distinct_edge_pair_side_is_coded_once(monkeypatch):
     assert state._side_codes is None
 
 
-def test_expansion_builds_no_predecessor_index(fig1_grammar, cd_pattern, monkeypatch):
+def test_expansion_builds_no_simulation_state(fig1_grammar, cd_pattern):
     suffixes = [bare("c"), parse_suffix("S/1:CDCD/2:CD/2:d"), parse_suffix("CD/1:c")]
     want = represented_node_union(fig1_grammar, suffixes)
     result = simulate_on_grammar(fig1_grammar, cd_pattern)
+    _, canonical = decompress(fig1_grammar)
     gg = parse_grammar(format_grammar(fig1_grammar))
-    calls = _count_encodes(monkeypatch)
-    assert represented_node_union(gg, suffixes) == want
-    assert expand_by_node(gg, result) == {1: {6}, 2: {7}}
-    # one encode per suffix expanded, none for the edge pairs
-    assert len(calls) == len(suffixes) + len(result.pairs)
-    assert gg._sim_state._rights is None
+    for path_map in (None, canonical):
+        assert represented_node_union(gg, suffixes, path_map) == want
+        assert expand_by_node(gg, result, path_map) == {1: {6}, 2: {7}}
+    assert gg._sim_state is None
     assert simulate_on_grammar(gg, cd_pattern) == result
-    assert gg._sim_state._rights is not None
+    assert gg._sim_state is not None
 
 
 # ---- expansion ----
