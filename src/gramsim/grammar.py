@@ -196,7 +196,7 @@ class GraphGrammar:
         this grammar, which must be valid. A full path's canonical id is
         its shift; any other suffix's ids are its shift over the bases of
         its anchor rule's instances."""
-        # the walk of suffix_violation, which stops at the first misfit
+        # suffix_violation's walk, stopping at the first misfit: no message to word
         if s.terminal not in self.terminals:
             return None
         rules = self._rules
