@@ -80,8 +80,8 @@ def parse_config(text: str) -> BenchConfig:
 
     Raises:
         BenchConfigError: on a malformed line, an unknown key, a value of
-            the wrong type, an empty list or repetitions below 1, with the
-            line number.
+            the wrong type, an empty list, repetitions below 1 or min_count
+            below 2, with the line number.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -101,6 +101,8 @@ def parse_config(text: str) -> BenchConfig:
                 values[key] = int(value)
                 if key == "repetitions" and values[key] < 1:
                     raise ValueError("repetitions must be at least 1")
+                if key == "min_count" and values[key] < 2:
+                    raise ValueError("min_count must be at least 2")
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
             elif key in _LIST_KEYS:

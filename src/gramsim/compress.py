@@ -23,13 +23,15 @@ class WorkGraph:
     Nodes are (ordinal, label); each work edge remembers, per endpoint,
     the path from the current node down to the original terminal node it
     attaches to (the bare label for an unmerged node). Replacing a digram
-    merges node pairs and grows those paths.
+    merges node pairs and grows those paths. `leaves[n]` lists the
+    original nodes under work node n in derivation order: a merged node's
+    list is its first part's followed by its second's.
 
     Paths are hash-consed into int ids (`paths[i]` is path i, `path_ids`
     maps it back): the intern table maps (step, id) to the id of that path
-    with `step` in front, so each distinct path is built once, and
-    `node_paths`, `edges` and the `by_digram` keys hold ints. The table
-    belongs to the run and is freed with it.
+    with `step` in front, so each distinct path is built once, and `edges`
+    and the `by_digram` keys hold ints. The table belongs to the run and
+    is freed with it.
     """
 
     def __init__(self, graph: LabeledGraph):
@@ -41,9 +43,7 @@ class WorkGraph:
         self.path_ids: dict[GrammarPathSuffix, int] = {}
         self.interned: dict[tuple[tuple[str, int], int], int] = {}
         bares = {label: self.path_id(bare(label)) for label in sorted(self.terminals)}
-        # original node represented by each (node, path-under-node)
-        self.node_paths: dict[int, dict[int, int]] = {
-            nid: {bares[label]: nid} for nid, label in graph.nodes}
+        self.leaves: dict[int, list[int]] = {nid: [nid] for nid in self.labels}
         self.edges: dict[int, tuple[int, int, int, int]] = {}
         self.touching: dict[int, set[int]] = {nid: set() for nid in self.labels}
         # digram key -> its non-loop edges as (src, dst, eid); an edge's
@@ -122,12 +122,7 @@ class WorkGraph:
             self.max_ordinal = n
             self.labels[n] = fresh_name
             self.touching[n] = set()
-            merged: dict[int, int] = {}
-            for path, original in self.node_paths.pop(v1).items():
-                merged[extend(first, path)] = original
-            for path, original in self.node_paths.pop(v2).items():
-                merged[extend(second, path)] = original
-            self.node_paths[n] = merged
+            self.leaves[n] = self.leaves.pop(v1) + self.leaves.pop(v2)
             for old, step in ((v1, first), (v2, second)):
                 for other_eid in list(self.touching[old]):
                     src, sp, dst, dp = self.edges[other_eid]
@@ -166,22 +161,23 @@ class WorkGraph:
     def to_grammar(self, terminals: Iterable[str], start_name: str
                    ) -> tuple[GraphGrammar, PathMap]:
         """Freeze the current state: survivors become the start rule."""
-        paths = self.paths
+        paths, extend = self.paths, self._extend
         survivors = sorted(self.labels)
         dense = {nid: i for i, nid in enumerate(survivors, start=1)}
         body = tuple((dense[nid], self.labels[nid]) for nid in survivors)
         rules = self.rules + [Rule(start_name, body)]
         pairs = list(self.rule_pairs)
+        # interned, so that equal sides are one object
         for src, sp, dst, dp in self.edges.values():
-            pairs.append((paths[sp].prepend(((start_name, dense[src]),)),
-                          paths[dp].prepend(((start_name, dense[dst]),))))
+            pairs.append((paths[extend((start_name, dense[src]), sp)],
+                          paths[extend((start_name, dense[dst]), dp)]))
         grammar = GraphGrammar(terminals, rules, start_name, pairs)
-        entries = []
-        for nid in survivors:
-            step = ((start_name, dense[nid]),)
-            for path, original in self.node_paths[nid].items():
-                entries.append((paths[path].prepend(step), original))
-        return grammar, PathMap(entries)
+        # the grammar's full paths, depth first, run in the survivors'
+        # leaf order
+        originals = [nid for survivor in survivors for nid in self.leaves[survivor]]
+        full_paths = (GrammarPathSuffix(steps, terminal)
+                      for steps, terminal in grammar.iter_full_paths())
+        return grammar, PathMap(zip(full_paths, originals, strict=True))
 
 
 def _allocate_names(terminals: frozenset[str]):
@@ -219,49 +215,34 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
     terminals = wg.terminals
     start_name, fresh_names = _allocate_names(terminals)
 
-    # Lazy max-heap over digram counts. Entries may be optimistic upper
-    # bounds (raw bucket size) for keys touched since their last exact
-    # count; exact[key] is None for those. Every live key always has a
-    # heap entry at least as large as its true count, so the first popped
-    # entry that matches a current exact count is the true maximum.
-    exact: dict[tuple[int, int], int | None] = {}
+    # Max-heap of exact counts, ties broken by key text. counts holds the
+    # count of every key that reaches min_count, and each such key has a
+    # heap entry with that count: every key a replacement touches is
+    # recounted at once, and an entry whose count is no longer its key's
+    # is stale. A bucket with fewer than min_count edges cannot reach it,
+    # so it is not sorted. A replaced key's bucket always empties, so its
+    # own recount drops it.
+    counts: dict[tuple[int, int], int] = {}
     heap: list[tuple[int, str, str, tuple[int, int]]] = []
     paths = wg.paths
 
-    def entry(count: int, key: tuple[int, int]) -> tuple[int, str, str, tuple[int, int]]:
-        return (-count, str(paths[key[0]]), str(paths[key[1]]), key)
+    def recount(key: tuple[int, int]) -> None:
+        enough = len(wg.by_digram.get(key, ())) >= min_count
+        count = wg.count_nonoverlapping(key) if enough else 0
+        if count < min_count:
+            counts.pop(key, None)
+        elif counts.get(key) != count:
+            counts[key] = count
+            heapq.heappush(heap, (-count, str(paths[key[0]]), str(paths[key[1]]), key))
 
     for key in wg.by_digram:
-        count = wg.count_nonoverlapping(key)
-        exact[key] = count
-        if count >= min_count:
-            heap.append(entry(count, key))
-    heapq.heapify(heap)
-
+        recount(key)
     while heap:
         negc, _, _, key = heapq.heappop(heap)
-        bucket = wg.by_digram.get(key)
-        if bucket is None:
-            exact.pop(key, None)
+        if counts.get(key) != -negc:
             continue
-        current = exact.get(key)
-        if current is None or current != -negc:
-            count = wg.count_nonoverlapping(key)
-            exact[key] = count
-            if count >= min_count:
-                heapq.heappush(heap, entry(count, key))
-            continue
-        if current < min_count:
-            continue
-        affected = wg.replace(key, next(fresh_names))
-        exact.pop(key, None)
-        for touched in affected:
-            bucket = wg.by_digram.get(touched)
-            if bucket is None:
-                exact.pop(touched, None)
-                continue
-            exact[touched] = None
-            heapq.heappush(heap, entry(len(bucket), touched))
+        for touched in wg.replace(key, next(fresh_names)):
+            recount(touched)
 
     return wg.to_grammar(terminals, start_name)
 

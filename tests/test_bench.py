@@ -52,6 +52,7 @@ def test_parse_config_defaults():
     ("variations = \n", "empty"),
     ("seeds = ,\n", "empty"),
     ("repetitions = 0\n", "at least 1"),
+    ("base_nodes = 10\nmin_count = 1\n", "line 2: "),
     ("base_nodes = 10\nseeds = 1, ١\n", "line 2: non-ASCII"),
     ("delete_fraction = ٠.5\n", "line 1: non-ASCII"),
 ])
@@ -77,7 +78,7 @@ def configs(draw):
         label_alphabet=draw(INTS), pattern_nodes=draw(INTS), pattern_edges=draw(INTS),
         seeds=tuple(draw(st.lists(INTS, min_size=1, max_size=3))),
         repetitions=draw(st.integers(1, 20)),
-        optimized=draw(st.booleans()), min_count=draw(INTS))
+        optimized=draw(st.booleans()), min_count=draw(st.integers(2, 999)))
 
 
 def config_text(config: BenchConfig) -> str:

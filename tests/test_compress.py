@@ -1,6 +1,6 @@
 import hashlib
 import random
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 
@@ -28,15 +28,33 @@ def rule_names(gg):
     return set(gg.rules) - {gg.start}
 
 
-def start_pair_shapes(gg):
-    """The digrams left between distinct start-rule nodes, with the number
-    of edge pairs of each shape; a pair within one node is a self-loop."""
-    shapes = Counter()
+def start_pair_edges(gg):
+    """The digrams left between distinct start-rule nodes, each with its
+    edges as (source, target) start-rule ordinals; a pair within one node
+    is a self-loop."""
+    edges = defaultdict(list)
     for left, right in gg.edge_pairs:
         if left.steps[0][0] == gg.start and left.steps[0] != right.steps[0]:
-            shapes[str(GrammarPathSuffix(left.steps[1:], left.terminal)),
-                   str(GrammarPathSuffix(right.steps[1:], right.terminal))] += 1
-    return shapes
+            key = (str(GrammarPathSuffix(left.steps[1:], left.terminal)),
+                   str(GrammarPathSuffix(right.steps[1:], right.terminal)))
+            edges[key].append((left.steps[0][1], right.steps[0][1]))
+    return edges
+
+
+def start_pair_shapes(gg):
+    """start_pair_edges' digrams with the number of edge pairs of each."""
+    return {key: len(edges) for key, edges in start_pair_edges(gg).items()}
+
+
+def greedy_disjoint_count(edges):
+    """The compressor's count: node-disjoint edges taken in ascending order."""
+    used = set()
+    count = 0
+    for src, dst in sorted(edges):
+        if src not in used and dst not in used:
+            used.update((src, dst))
+            count += 1
+    return count
 
 
 def test_initial_census(fig1_graph):
@@ -71,6 +89,42 @@ def test_replace_digram_step(fig1_graph):
     # the back edge 7 -> 6 now runs within one R1 node
     assert [(str(left), str(right)) for left, right in gg.edge_pairs
             if left.steps[0] == right.steps[0]] == [("S/4:R1/2:d", "S/4:R1/1:c")]
+
+
+def test_equal_counts_go_in_key_text_order_and_higher_counts_first():
+    # the c->d edges come first in the edge list, so only the key text
+    # puts a->b ahead of them
+    nodes = "1 c\n2 d\n3 c\n4 d\n5 a\n6 b\n7 a\n8 b\n"
+    edges = "1 2\n3 4\n5 6\n7 8\n"
+    gg, _ = compress(load_graph(nodes + edges))
+    assert [gg.rules[name].body for name in ("R1", "R2")] == [
+        ((1, "a"), (2, "b")), ((1, "c"), (2, "d"))]
+    # three e->f edges outcount both
+    nodes += "9 e\n10 f\n11 e\n12 f\n13 e\n14 f\n"
+    edges += "9 10\n11 12\n13 14\n"
+    gg, _ = compress(load_graph(nodes + edges))
+    assert [gg.rules[name].body for name in ("R1", "R2", "R3")] == [
+        ((1, "e"), (2, "f")), ((1, "a"), (2, "b")), ((1, "c"), (2, "d"))]
+
+
+@pytest.mark.parametrize("min_count", [2, 3])
+def test_compress_stops_only_when_every_count_is_below_min_count(min_count):
+    rng = random.Random(20261019)
+    graphs = [random_soup(rng) for _ in range(30)]
+    graphs += [seeded_case(seed)[0] for seed in range(12)]
+    for graph in graphs:
+        gg, _ = compress(graph, min_count=min_count)
+        for key, edges in start_pair_edges(gg).items():
+            assert greedy_disjoint_count(edges) < min_count, key
+
+
+def test_equal_edge_pair_sides_are_one_object():
+    # the simulator memoizes sides, and a hit on an equal but distinct
+    # object pays a Python-level __eq__
+    for seed in range(12):
+        gg, _ = compress(seeded_case(seed)[0])
+        sides = [side for pair in gg.edge_pairs for side in pair]
+        assert len({id(side) for side in sides}) == len(set(sides))
 
 
 def test_compress_fig1_sizes(fig1_graph):
@@ -140,8 +194,13 @@ def test_repeated_chunks_compress_below_unity():
 
 
 # sha256 of format_grammar + format_path_map for compress on the benchmark's
-# reduced graph sizes: any change to the compressor's output shows here.
+# reduced graph sizes and on its full query-stream and ingest graphs: any
+# change to the compressor's output shows here.
 GOLDEN = [
+    ((40, 250, 0.0, 1.25, 2, 1),
+     "52f98036b5b0d261aa5e3c07db282be4e2e82ce5015eaaba83df23375e2b303d"),
+    ((50, 200, 0.5, 2.0, 4, 1),
+     "d7bc007556e05301452ca0a0f6a8dd04f0b0a6b331266afd8eae41bd91488622"),
     ((40, 50, 0.0, 1.25, 2, 1),
      "c484bf3262ea35dd3d8915665b1d7c8a9bf1653aa2d8641357de2f1772c4862a"),
     ((50, 40, 0.5, 2.0, 4, 1),
