@@ -7,6 +7,7 @@ whole run with the reproducing seed in the error.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -72,6 +73,14 @@ _INT_KEYS = {"base_nodes", "label_alphabet", "pattern_nodes", "pattern_edges",
 _FLOAT_KEYS = {"delete_fraction", "edges_per_node"}
 _LIST_KEYS = {"variations", "seeds"}
 _BOOL_KEYS = {"optimized"}
+# each numeric key's range (a list key's, for each item), as GraphGenParams,
+# PatternGenParams, run_bench and compress enforce it; edges <= nodes²
+# spans two keys and is left to run_bench
+_RANGES = {"base_nodes": (1, math.inf), "variations": (1, math.inf),
+           "delete_fraction": (0.0, 0.5), "edges_per_node": (0.0, math.inf),
+           "label_alphabet": (1, math.inf), "pattern_nodes": (1, math.inf),
+           "pattern_edges": (0, math.inf), "repetitions": (1, math.inf),
+           "min_count": (2, math.inf)}
 
 
 def parse_config(text: str) -> BenchConfig:
@@ -80,8 +89,9 @@ def parse_config(text: str) -> BenchConfig:
 
     Raises:
         BenchConfigError: on a malformed line, an unknown key, a value of
-            the wrong type, an empty list, repetitions below 1 or min_count
-            below 2, with the line number.
+            the wrong type, an empty list, or a value out of its key's
+            range (say variations 0 or delete_fraction 1.5), with the line
+            number.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -99,12 +109,11 @@ def parse_config(text: str) -> BenchConfig:
                 raise ValueError(f"non-ASCII characters in value {value!r}")
             if key in _INT_KEYS:
                 values[key] = int(value)
-                if key == "repetitions" and values[key] < 1:
-                    raise ValueError("repetitions must be at least 1")
-                if key == "min_count" and values[key] < 2:
-                    raise ValueError("min_count must be at least 2")
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
+                if not math.isfinite(values[key]):
+                    # float() also reads nan and inf
+                    raise ValueError(f"{key} must be a finite number, got {value!r}")
             elif key in _LIST_KEYS:
                 values[key] = tuple(int(v.strip()) for v in value.split(",") if v.strip())
                 if not values[key]:
@@ -115,6 +124,12 @@ def parse_config(text: str) -> BenchConfig:
                 values[key] = value.lower() == "true"
             else:
                 raise ValueError(f"unknown key {key!r}")
+            if key in _RANGES:
+                low, high = _RANGES[key]
+                for v in values[key] if key in _LIST_KEYS else (values[key],):
+                    if not low <= v <= high:
+                        bound = f"at least {low}" if high == math.inf else f"within [{low}, {high}]"
+                        raise ValueError(f"{key} must be {bound}, got {v}")
         except ValueError as exc:
             raise BenchConfigError(f"line {lineno}: {exc}") from exc
     return BenchConfig(**values)  # type: ignore[arg-type]

@@ -175,9 +175,7 @@ class WorkGraph:
         # the grammar's full paths, depth first, run in the survivors'
         # leaf order
         originals = [nid for survivor in survivors for nid in self.leaves[survivor]]
-        full_paths = (GrammarPathSuffix(steps, terminal)
-                      for steps, terminal in grammar.iter_full_paths())
-        return grammar, PathMap(zip(full_paths, originals, strict=True))
+        return grammar, PathMap._canonical(grammar, originals)
 
 
 def _allocate_names(terminals: frozenset[str]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import LabeledGraph, valid_label
 from .suffix import GrammarPathSuffix, _parse_suffix
@@ -191,16 +191,17 @@ class GraphGrammar:
             expected = name
         return err
 
-    def _canonical_shift(self, s: GrammarPathSuffix) -> int | None:
+    def _canonical_shift(self, s: GrammarPathSuffix,
+                         offsets: dict[tuple[str, int], int]) -> int | None:
         """1 + the offsets of the steps of `s`, or None if `s` does not fit
         this grammar, which must be valid. A full path's canonical id is
         its shift; any other suffix's ids are its shift over the bases of
-        its anchor rule's instances."""
+        its anchor rule's instances. `offsets` is the derivation's table,
+        read once by the caller rather than once per suffix."""
         # suffix_violation's walk, stopping at the first misfit: no message to word
         if s.terminal not in self.terminals:
             return None
         rules = self._rules
-        offsets = self._derivation().offsets
         expected = s.terminal
         shift = 1
         for step in reversed(s.steps):
@@ -346,6 +347,16 @@ class PathMap:
         self._by_node = dict(sorted(by_node.items()))
         self._dense: tuple[weakref.ref, list[int | None]] | None = None
 
+    @classmethod
+    def _canonical(cls, gg: GraphGrammar, ids: Sequence[int]) -> PathMap:
+        """The map that gives gg's full paths, taken in canonical order,
+        the ids `ids` (canonical id i gets ids[i - 1]), with its table for
+        gg already stored."""
+        full_paths = (GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths())
+        pm = cls(zip(full_paths, ids, strict=True))
+        pm._dense = (weakref.ref(gg), [None, *ids])
+        return pm
+
     def node_for(self, path: GrammarPathSuffix) -> int:
         return self._by_path[path]
 
@@ -353,7 +364,10 @@ class PathMap:
         # Dense canonical id -> this map's id table over gg's full paths,
         # None where the map lacks the path. Kept for the grammar last asked
         # about, checked by identity, through a weak reference so the map
-        # never keeps a grammar alive.
+        # never keeps a grammar alive. A map from compress or decompress
+        # comes with the table for its own grammar (_canonical); a parsed
+        # map, or any map asked about another grammar object, even an equal
+        # one, builds it here.
         dense = self._dense
         if dense is not None and dense[0]() is gg:
             return dense[1]
@@ -365,11 +379,12 @@ class PathMap:
         # on a grammar whose paths are 11 steps deep.
         start = gg.start
         shift = gg._canonical_shift
+        offsets = gg._derivation().offsets
         table: list[int | None] = [None] * (gg.node_count() + 1)
         for path, nid in self._by_path.items():
             steps = path.steps
             if steps and steps[0][0] == start:
-                cid = shift(path)
+                cid = shift(path, offsets)
                 if cid is not None:
                     table[cid] = nid
         self._dense = (weakref.ref(gg), table)
@@ -413,10 +428,11 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
     gg.ensure_valid()
     derived = gg._derivation()
     bases = derived.bases
+    offsets = derived.offsets
     bare_ids = derived.bare_ids
     canonical: list[int] = []
     for s in suffixes:
-        shift = gg._canonical_shift(s)
+        shift = gg._canonical_shift(s, offsets)
         if shift is None:
             raise ValueError(gg.suffix_violation(s))
         if s.steps:
@@ -427,7 +443,7 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
             # one id per instance of each body position carrying it
             ids = bare_ids[s.terminal] = []
             for position in derived.occurrences.get(s.terminal, ()):
-                first = shift + derived.offsets[position]
+                first = shift + offsets[position]
                 ids += [base + first for base in bases[position[0]]]
         canonical += ids
     if path_map is None:
@@ -452,11 +468,8 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
         GrammarValidationError: if validate() reports violations.
     """
     gg.ensure_valid()
-    nodes = []
-    entries = []
-    for i, (steps, terminal) in enumerate(gg.iter_full_paths(), start=1):
-        nodes.append((i, terminal))
-        entries.append((GrammarPathSuffix(steps, terminal), i))
+    path_map = PathMap._canonical(gg, range(1, gg.node_count() + 1))
+    nodes = [(i, path.terminal) for i, path in path_map._by_node.items()]
     # the canonical id of ctx + steps is 1 + the anchor instance's base +
     # the offsets of steps, so no instance's step prefix is built
     derived = gg._derivation()
@@ -467,7 +480,7 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
         src = 1 + sum(offsets[step] for step in left.steps)
         dst = 1 + sum(offsets[step] for step in right.steps)
         edges.update((base + src, base + dst) for base in bases[left.steps[0][0]])
-    return LabeledGraph(nodes, edges), PathMap(entries)
+    return LabeledGraph(nodes, edges), path_map
 
 
 # ---- text format ----

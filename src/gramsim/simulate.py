@@ -488,9 +488,11 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
     Without a path map, ids are the canonical decompression ids; with
     one (e.g. from compress), each node's full path is translated through
     it. Each node's suffixes go through represented_node_union, so cost
-    is linear in the matched nodes: the grammar's derivation tables, each
-    bare terminal's ids and the path map's table for the grammar are
-    built on first use and kept, and no simulation state is built.
+    is linear in the matched nodes: the grammar's derivation tables and
+    each bare terminal's ids are built on first use and kept, and no
+    simulation state is built. A path map from compress or decompress
+    comes with its table for its own grammar object; a parsed map, or a
+    map used with another grammar object, builds that table on first use.
 
     Raises:
         ValueError: if a suffix of the result does not fit `gg`.

@@ -62,20 +62,45 @@ def test_parse_config_rejects(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("line", [
+    "base_nodes = 0", "variations = 2, 0, 4", "delete_fraction = 1.5",
+    "delete_fraction = -0.1", "delete_fraction = nan", "edges_per_node = -1",
+    "edges_per_node = inf", "label_alphabet = 0", "pattern_nodes = 0",
+    "pattern_edges = -1", "repetitions = 0", "min_count = 1",
+])
+def test_parse_config_rejects_an_out_of_range_value_on_its_line(line):
+    key = line.partition(" ")[0]
+    with pytest.raises(BenchConfigError, match=f"^line 3: {key} must be "):
+        parse_config(f"# sweep\nbase_nodes = 10\n{line}\n")
+
+
+def test_parse_config_accepts_the_ends_of_each_range():
+    c = parse_config("base_nodes = 1\nvariations = 1\ndelete_fraction = 0.5\n"
+                     "edges_per_node = 0\nlabel_alphabet = 1\npattern_nodes = 1\n"
+                     "pattern_edges = 0\nrepetitions = 1\nmin_count = 2\nseeds = -3\n")
+    assert c == BenchConfig(base_nodes=1, variations=(1,), delete_fraction=0.5,
+                            edges_per_node=0.0, label_alphabet=1, pattern_nodes=1,
+                            pattern_edges=0, repetitions=1, min_count=2, seeds=(-3,))
+    assert parse_config("delete_fraction = 0\n").delete_fraction == 0.0
+
+
 # ---- parser fuzzing ----
 
 # short values, so that one corrupted character can also empty a list or
-# zero the repetitions
+# zero the repetitions; each key's value is in its range, since an
+# out-of-range value is invalid input
 INTS = st.integers(-99, 999)
-FLOATS = st.floats(allow_nan=False)
+POSITIVE = st.integers(1, 999)
 
 
 @st.composite
 def configs(draw):
     return BenchConfig(
-        base_nodes=draw(INTS), variations=tuple(draw(st.lists(INTS, min_size=1, max_size=3))),
-        delete_fraction=draw(FLOATS), edges_per_node=draw(FLOATS),
-        label_alphabet=draw(INTS), pattern_nodes=draw(INTS), pattern_edges=draw(INTS),
+        base_nodes=draw(POSITIVE), variations=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=3))),
+        delete_fraction=draw(st.floats(0.0, 0.5)),
+        edges_per_node=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        label_alphabet=draw(POSITIVE), pattern_nodes=draw(POSITIVE),
+        pattern_edges=draw(st.integers(0, 999)),
         seeds=tuple(draw(st.lists(INTS, min_size=1, max_size=3))),
         repetitions=draw(st.integers(1, 20)),
         optimized=draw(st.booleans()), min_count=draw(st.integers(2, 999)))

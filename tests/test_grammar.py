@@ -429,6 +429,21 @@ def test_path_map_does_not_keep_its_grammar_alive(fig1_grammar):
     assert represented_node_union(fig1_grammar, [bare("b")], pm) == {5}
 
 
+def test_compress_map_does_not_keep_its_grammar_alive():
+    graph, pattern = seeded_case(11, max_base=10)
+    gg, pm = compress(graph)
+    text = format_grammar(gg)
+    ref = weakref.ref(gg)
+    del gg
+    gc.collect()
+    assert ref() is None
+    assert pm._dense[0]() is None
+    reloaded = parse_grammar(text)
+    result = simulate_on_grammar(reloaded, pattern, optimized=True)
+    assert expand_by_node(reloaded, result, pm) == simulate_on_graph(graph, pattern)
+    assert pm._ids_by_canonical(reloaded) == _reference_ids(pm, reloaded)
+
+
 # ---- parser fuzzing over compressor output ----
 
 def _compressed_documents(seed: int) -> tuple[str, str]:
@@ -556,7 +571,7 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     # a full path's shift is the id decompress numbers it with
     _, canonical = decompress(gg)
     for path, _ in pm:
-        assert gg._canonical_shift(path) == canonical.node_for(path)
+        assert gg._canonical_shift(path, gg._derivation().offsets) == canonical.node_for(path)
     fitting = [path for path, _ in pm] + [s for pair in gg.edge_pairs for s in pair]
     s = data.draw(st.sampled_from(fitting))
     steps = list(s.steps[data.draw(st.integers(0, len(s.steps))):])
@@ -592,7 +607,7 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     # the last corruption leaves its own step (or the end) misfitting
     assert (message is None) == (not kinds)
     # the shift walk fits exactly the suffixes suffix_violation passes
-    assert (gg._canonical_shift(probe) is None) == (message is not None)
+    assert (gg._canonical_shift(probe, gg._derivation().offsets) is None) == (message is not None)
 
 
 def test_validate_lists_a_repeated_bad_side_once_per_occurrence(fig1_grammar):
@@ -651,6 +666,17 @@ def test_path_map_table_matches_its_definition(seed, other_seed):
     mixed = PathMap(entries.items())
     reloaded_gg = parse_grammar(format_grammar(gg))
     reloaded_map = parse_path_map(format_path_map(mixed))
-    for g, m in [(gg, pm), (gg, mixed), (reloaded_gg, reloaded_map), (other, mixed),
-                 (reloaded_gg, parse_path_map(format_path_map(pm))), (gg, reloaded_map)]:
+    # maps from compress and decompress come with the table for their own
+    # grammar; every other pair builds it
+    decompressed = [decompress(g)[1] for g in (gg, reloaded_gg)]
+    for g, m in [(gg, pm), (other, other_pm), (gg, decompressed[0]),
+                 (reloaded_gg, decompressed[1])]:
+        assert m._dense[0]() is g
+    for g, m in [(gg, pm), (other, other_pm), (gg, decompressed[0]),
+                 (reloaded_gg, decompressed[1]), (gg, mixed), (reloaded_gg, reloaded_map), (other, mixed),
+                 (reloaded_gg, parse_path_map(format_path_map(pm))), (gg, reloaded_map),
+                 # a compress map used with an equal grammar object, then
+                 # with its own again
+                 (reloaded_gg, pm), (gg, pm), (gg, decompressed[1])]:
         assert m._ids_by_canonical(g) == _reference_ids(m, g)
+        assert m._dense[0]() is g
