@@ -27,11 +27,12 @@ class WorkGraph:
     original nodes under work node n in derivation order: a merged node's
     list is its first part's followed by its second's.
 
-    Paths are hash-consed into int ids (`paths[i]` is path i, `path_ids`
-    maps it back): the intern table maps (step, id) to the id of that path
-    with `step` in front, so each distinct path is built once, and `edges`
-    and the `by_digram` keys hold ints. The table belongs to the run and
-    is freed with it.
+    Paths are hash-consed into int ids (`paths[i]` is path i): each bare
+    terminal gets one id, and the intern table maps (step, id) to the id
+    of that path with `step` in front. A path is its first step plus the
+    rest, so the table names each distinct path once and each is built
+    once; `edges` and the `by_digram` keys hold ints. The table belongs
+    to the run and is freed with it.
     """
 
     def __init__(self, graph: LabeledGraph):
@@ -39,10 +40,9 @@ class WorkGraph:
             raise ValueError("cannot compress an empty graph")
         self.labels: dict[int, str] = dict(graph.nodes)
         self.terminals: frozenset[str] = graph.label_set()
-        self.paths: list[GrammarPathSuffix] = []
-        self.path_ids: dict[GrammarPathSuffix, int] = {}
+        self.paths: list[GrammarPathSuffix] = [bare(label) for label in sorted(self.terminals)]
         self.interned: dict[tuple[tuple[str, int], int], int] = {}
-        bares = {label: self.path_id(bare(label)) for label in sorted(self.terminals)}
+        bares = {path.terminal: pid for pid, path in enumerate(self.paths)}
         self.leaves: dict[int, list[int]] = {nid: [nid] for nid in self.labels}
         self.edges: dict[int, tuple[int, int, int, int]] = {}
         self.touching: dict[int, set[int]] = {nid: set() for nid in self.labels}
@@ -60,20 +60,13 @@ class WorkGraph:
             if src != dst:
                 self.by_digram.setdefault((record[1], record[3]), set()).add((src, dst, eid))
 
-    def path_id(self, path: GrammarPathSuffix) -> int:
-        """The id of `path`, given a fresh one if this run has not seen it."""
-        pid = self.path_ids.get(path)
-        if pid is None:
-            pid = self.path_ids[path] = len(self.paths)
-            self.paths.append(path)
-        return pid
-
     def _extend(self, step: tuple[str, int], pid: int) -> int:
         """The id of path `pid` with `step` in front, built on first request."""
         key = (step, pid)
         out = self.interned.get(key)
         if out is None:
-            out = self.interned[key] = self.path_id(self.paths[pid].prepend((step,)))
+            out = self.interned[key] = len(self.paths)
+            self.paths.append(self.paths[pid].prepend((step,)))
         return out
 
     def _occurrences(self, key: tuple[int, int]) -> list[int]:
@@ -92,9 +85,6 @@ class WorkGraph:
             used.add(dst)
             out.append(eid)
         return out
-
-    def count_nonoverlapping(self, key: tuple[int, int]) -> int:
-        return len(self._occurrences(key))
 
     def replace(self, key: tuple[int, int], fresh_name: str) -> set[tuple[int, int]]:
         """Replace all counted occurrences of `key` by fresh_name nodes.
@@ -226,7 +216,7 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
 
     def recount(key: tuple[int, int]) -> None:
         enough = len(wg.by_digram.get(key, ())) >= min_count
-        count = wg.count_nonoverlapping(key) if enough else 0
+        count = len(wg._occurrences(key)) if enough else 0
         if count < min_count:
             counts.pop(key, None)
         elif counts.get(key) != count:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .graph import LabeledGraph, valid_label
+from .graph import LabeledGraph, _lines, valid_label
 from .suffix import GrammarPathSuffix, _parse_suffix
 
 
@@ -329,31 +330,41 @@ def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
 
 
 class PathMap:
-    """Bijection between full grammar paths and node ids."""
+    """Bijection between full grammar paths and node ids, held in one dict.
 
-    __slots__ = ("_by_path", "_by_node", "_dense")
+    The constructor is the only code that checks entries: each path a
+    GrammarPathSuffix, each id a positive int (not a bool), no path or id
+    twice, as the `.map` format that parse_path_map reads needs."""
+
+    __slots__ = ("_by_path", "_dense")
 
     def __init__(self, entries: Iterable[tuple[GrammarPathSuffix, int]]):
         by_path: dict[GrammarPathSuffix, int] = {}
-        by_node: dict[int, GrammarPathSuffix] = {}
+        ids: set[int] = set()
         for path, nid in entries:
+            if not isinstance(path, GrammarPathSuffix):
+                raise ValueError(f"path must be a GrammarPathSuffix, got {path!r}")
+            if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:
+                raise ValueError(f"node id must be positive, got {nid!r}")
             if path in by_path:
                 raise ValueError(f"duplicate path {path}")
-            if nid in by_node:
+            if nid in ids:
                 raise ValueError(f"duplicate node id {nid}")
             by_path[path] = nid
-            by_node[nid] = path
+            ids.add(nid)
         self._by_path = by_path
-        self._by_node = dict(sorted(by_node.items()))
         self._dense: tuple[weakref.ref, list[int | None]] | None = None
 
     @classmethod
     def _canonical(cls, gg: GraphGrammar, ids: Sequence[int]) -> PathMap:
         """The map that gives gg's full paths, taken in canonical order,
         the ids `ids` (canonical id i gets ids[i - 1]), with its table for
-        gg already stored."""
+        gg already stored. The entries are not checked: the full paths are
+        distinct by construction, and `ids` must be distinct positive ints,
+        one per node of gg."""
         full_paths = (GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths())
-        pm = cls(zip(full_paths, ids, strict=True))
+        pm = object.__new__(cls)
+        pm._by_path = dict(zip(full_paths, ids, strict=True))
         pm._dense = (weakref.ref(gg), [None, *ids])
         return pm
 
@@ -394,8 +405,8 @@ class PathMap:
         return len(self._by_path)
 
     def __iter__(self) -> Iterator[tuple[GrammarPathSuffix, int]]:
-        for nid, path in self._by_node.items():
-            yield path, nid
+        """The (path, id) entries in ascending id order."""
+        return iter(sorted(self._by_path.items(), key=itemgetter(1)))
 
     def __contains__(self, path: GrammarPathSuffix) -> bool:
         return path in self._by_path
@@ -469,7 +480,7 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
     """
     gg.ensure_valid()
     path_map = PathMap._canonical(gg, range(1, gg.node_count() + 1))
-    nodes = [(i, path.terminal) for i, path in path_map._by_node.items()]
+    nodes = [(i, path.terminal) for path, i in path_map._by_path.items()]
     # the canonical id of ctx + steps is 1 + the anchor instance's base +
     # the offsets of steps, so no instance's step prefix is built
     derived = gg._derivation()
@@ -515,15 +526,7 @@ def parse_grammar(text: str) -> GraphGrammar:
             s = suffix_memo[token] = _parse_suffix(token, step_memo, terminal_memo)
         return s
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.isascii():
-            # symbols are ASCII; str.isdigit would also pass other
-            # scripts' digits, which int() misreads or rejects
-            raise GrammarFormatError(f"line {lineno}: non-ASCII characters")
-        tokens = line.split()
+    for lineno, tokens in _lines(text, GrammarFormatError):
         kind = tokens[0]
         if kind == "TERMINALS":
             if terminals is not None:
@@ -600,38 +603,32 @@ def parse_path_map(text: str) -> PathMap:
 
     Each path is a full grammar path in suffix syntax and each id a
     positive integer; `#` comments and blank lines are skipped. Whether the
-    paths fit a grammar is not checked.
+    paths fit a grammar is not checked; PathMap checks the entries.
 
     Raises:
         GrammarFormatError: on a malformed line, a malformed path, an id
             below 1, or a path or id already seen, with the line number.
     """
-    by_path: dict[GrammarPathSuffix, int] = {}
-    ids: set[int] = set()
     step_memo: dict[str, tuple[str, int]] = {}
     terminal_memo: dict[str, str] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.isascii():
-            # symbols are ASCII; str.isdigit would also pass other
-            # scripts' digits, which int() misreads or rejects
-            raise GrammarFormatError(f"line {lineno}: non-ASCII characters")
-        tokens = line.split()
-        if len(tokens) != 2 or not tokens[1].isdigit():
-            raise GrammarFormatError(f"line {lineno}: expected '<path> <id>'")
-        try:
-            path = _parse_suffix(tokens[0], step_memo, terminal_memo)
-        except ValueError as exc:
-            raise GrammarFormatError(f"line {lineno}: {exc}") from exc
-        nid = int(tokens[1])
-        if nid < 1:
-            raise GrammarFormatError(f"line {lineno}: node id must be positive, got {nid}")
-        if path in by_path:
-            raise GrammarFormatError(f"line {lineno}: duplicate path {path}")
-        if nid in ids:
-            raise GrammarFormatError(f"line {lineno}: duplicate node id {nid}")
-        by_path[path] = nid
-        ids.add(nid)
-    return PathMap(by_path.items())
+    lineno = 0
+
+    def entries() -> Iterator[tuple[GrammarPathSuffix, int]]:
+        nonlocal lineno
+        for lineno, tokens in _lines(text, GrammarFormatError):
+            if len(tokens) != 2 or not tokens[1].isdigit():
+                raise GrammarFormatError(f"line {lineno}: expected '<path> <id>'")
+            try:
+                path = _parse_suffix(tokens[0], step_memo, terminal_memo)
+            except ValueError as exc:
+                raise GrammarFormatError(f"line {lineno}: {exc}") from exc
+            yield path, int(tokens[1])
+
+    try:
+        return PathMap(entries())
+    except GrammarFormatError:
+        raise
+    except ValueError as exc:
+        # PathMap checks each entry before it asks for the next, so the
+        # line read last holds the entry it rejected
+        raise GrammarFormatError(f"line {lineno}: {exc}") from exc

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -118,6 +118,21 @@ def predecessors(graph: LabeledGraph, targets: Iterable[int]) -> frozenset[int]:
     return frozenset(result)
 
 
+def _lines(text: str, error: type[ValueError]) -> Iterator[tuple[int, list[str]]]:
+    """Yield the 1-based number and the tokens of each line of a text
+    document that is neither blank nor a `#` comment; raise `error`, with
+    the line number, on a line with non-ASCII characters."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not line.isascii():
+            # ids and symbols are ASCII; str.isdigit would also pass other
+            # scripts' digits, which int() misreads or rejects
+            raise error(f"line {lineno}: non-ASCII characters")
+        yield lineno, line.split()
+
+
 def load_graph(text: str) -> LabeledGraph:
     """Parse an edge-list document.
 
@@ -134,15 +149,7 @@ def load_graph(text: str) -> LabeledGraph:
     labels: dict[int, str] = {}
     edges: set[tuple[int, int]] = set()
     seen_edge = False
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.isascii():
-            # ids and labels are ASCII; str.isdigit would also pass other
-            # scripts' digits, which int() misreads or rejects
-            raise GraphFormatError(f"line {lineno}: non-ASCII characters")
-        tokens = line.split()
+    for lineno, tokens in _lines(text, GraphFormatError):
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected two tokens, got {len(tokens)}")
         first, second = tokens

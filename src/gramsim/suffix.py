@@ -22,13 +22,12 @@ class SuffixFormatError(ValueError):
 class GrammarPathSuffix:
     """An immutable (steps, terminal) pair; steps are (rule, ordinal)."""
 
-    __slots__ = ("steps", "terminal", "_hash", "_key", "_text")
+    __slots__ = ("steps", "terminal", "_hash", "_text")
 
     def __init__(self, steps: tuple[tuple[str, int], ...], terminal: str):
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "terminal", terminal)
         object.__setattr__(self, "_hash", hash((steps, terminal)))
-        object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
@@ -57,11 +56,7 @@ class GrammarPathSuffix:
         # exactly when a's key is a prefix of b's, so a suffix sorts
         # immediately before all of its extensions, and those form one
         # contiguous run of the canonical order.
-        key = self._key
-        if key is None:
-            key = (self.terminal,) + self.steps[::-1]
-            object.__setattr__(self, "_key", key)
-        return key
+        return (self.terminal,) + self.steps[::-1]
 
     def prepend(self, steps: tuple[tuple[str, int], ...]) -> "GrammarPathSuffix":
         """The longer suffix obtained by adding `steps` in front."""
@@ -161,11 +156,9 @@ class SuffixSet:
 
     def __init__(self, items: Iterable[GrammarPathSuffix] = ()):
         out: list[GrammarPathSuffix] = []
-        last = None
         for s in sorted(items, key=_sort_key):
-            if s._key != last:  # equal suffixes sort next to each other
+            if not out or s != out[-1]:  # equal suffixes sort next to each other
                 out.append(s)
-                last = s._key
         self._items: tuple[GrammarPathSuffix, ...] = tuple(out)
         self._hash: int | None = None
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from gramsim import (GraphGenParams, PatternGenParams, bare, compress,
-                     compression_ratio, decompress, expand_by_node,
+from gramsim import (GraphGenParams, GraphGrammar, LabeledGraph, PatternGenParams,
+                     bare, compress, compression_ratio, decompress, expand_by_node,
                      expand_to_nodes, gen_graph, gen_pattern,
                      graphs_isomorphic_under_map, load_graph, parse_path_map,
                      parse_suffix, predecessor_suffixes, predecessors,
@@ -178,7 +178,7 @@ def test_criterion_6_compression_effectiveness():
 
 
 def test_criterion_7_speedup_trend():
-    def seconds(fn):
+    def seconds(fn, *args, **kwargs):
         # collection runs outside the timed call: the heap holds both
         # engines' data, so a collection inside it would charge one engine
         # for traversing the other's objects
@@ -186,16 +186,22 @@ def test_criterion_7_speedup_trend():
         gc.disable()
         try:
             started = time.perf_counter()
-            result = fn()
+            result = fn(*args, **kwargs)
             return time.perf_counter() - started, result
         finally:
             gc.enable()
 
+    def first_answer(gg, pattern):
+        gg.validate()
+        return simulate_on_grammar(gg, pattern, optimized=True)
+
     def cell(variations, edges_per_node):
-        """Median seconds over seeds 3, 5, 7 of the cold first query (grammar:
-        validate plus optimized simulation on fresh compress output; baseline:
-        simulate_on_graph on the fresh graph) and of the warm query (median
-        of three runs after the cold one)."""
+        """Median seconds over seeds 3, 5, 7 of the cold first query and of
+        the warm query (median of three runs after the cold ones). A seed's
+        cold time is the median of three cold calls, each on fresh objects:
+        validate plus optimized simulation on a grammar rebuilt from the
+        compress output (the same shared sides, no cached state), and
+        simulate_on_graph on a graph rebuilt from its nodes and edges."""
         samples = {"base_cold": [], "gram_cold": [], "base_warm": [], "gram_warm": []}
         for seed in (3, 5, 7):
             graph = gen_graph(GraphGenParams(
@@ -204,18 +210,20 @@ def test_criterion_7_speedup_trend():
             assert len(graph) == 40 * variations
             pattern = gen_pattern(PatternGenParams(nodes=6, edges=8, seed=seed + 1000003),
                                   graph.label_set())
-            gg, pm = compress(graph)
-
-            def first_answer():
-                gg.validate()
-                return simulate_on_grammar(gg, pattern, optimized=True)
-
-            elapsed, cold = seconds(first_answer)
-            samples["gram_cold"].append(elapsed)
-            elapsed, want = seconds(lambda: simulate_on_graph(graph, pattern))
-            samples["base_cold"].append(elapsed)
-            base_runs = [seconds(lambda: simulate_on_graph(graph, pattern)) for _ in range(3)]
-            gram_runs = [seconds(lambda: simulate_on_grammar(gg, pattern, optimized=True))
+            out, pm = compress(graph)
+            gram_cold, base_cold = [], []
+            for _ in range(3):
+                gg = GraphGrammar(out.terminals, out.rules.values(), out.start, out.edge_pairs)
+                elapsed, cold = seconds(first_answer, gg, pattern)
+                gram_cold.append(elapsed)
+                fresh_graph = LabeledGraph(graph.nodes, graph.edges)
+                elapsed, want = seconds(simulate_on_graph, fresh_graph, pattern)
+                base_cold.append(elapsed)
+            samples["gram_cold"].append(statistics.median(gram_cold))
+            samples["base_cold"].append(statistics.median(base_cold))
+            # the warm runs use the last fresh objects, each run once cold
+            base_runs = [seconds(simulate_on_graph, fresh_graph, pattern) for _ in range(3)]
+            gram_runs = [seconds(simulate_on_grammar, gg, pattern, optimized=True)
                          for _ in range(3)]
             samples["base_warm"].append(statistics.median(t for t, _ in base_runs))
             samples["gram_warm"].append(statistics.median(t for t, _ in gram_runs))

@@ -255,6 +255,39 @@ def test_path_map_rejects_duplicates():
     assert not isinstance(err.value, GrammarFormatError)
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([(bare("a"), 0)], "node id must be positive, got 0"),
+    ([(bare("a"), -3)], "node id must be positive, got -3"),
+    ([(bare("a"), True)], "node id must be positive, got True"),
+    ([(bare("a"), "1")], "node id must be positive, got '1'"),
+    ([(bare("a"), 1.0)], "node id must be positive, got 1.0"),
+    ([("a", 1)], "path must be a GrammarPathSuffix, got 'a'"),
+    ([(bare("a"), 1), (None, 2)], "path must be a GrammarPathSuffix, got None"),
+])
+def test_path_map_rejects_entries_the_map_format_cannot_hold(entries, message):
+    with pytest.raises(ValueError) as err:
+        PathMap(entries)
+    assert str(err.value) == message
+
+
+_path_texts = st.sampled_from(["a", "b", "S/1:a", "S/2:a", "S/1:T/3:b", "R2/1:S/1:a"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(_path_texts.map(parse_suffix), _path_texts, st.none()),
+    st.one_of(st.integers(-3, 8), st.booleans(), st.integers(1, 8).map(str))), max_size=6))
+def test_every_accepted_path_map_round_trips(entries):
+    try:
+        pm = PathMap(entries)
+    except ValueError:
+        return
+    text = format_path_map(pm)
+    again = parse_path_map(text)
+    assert again == pm and format_path_map(again) == text
+    assert list(again) == list(pm)
+
+
 # ---- the per-document token memo behind both parsers ----
 
 
