@@ -18,7 +18,8 @@ from .compress import compress, compression_ratio, size_metrics
 from .generate import GraphGenParams, PatternGenParams, gen_graph, gen_pattern
 from .simulate import expand_by_node, simulate_on_grammar
 
-CSV_HEADER = "graphindex,nodes,edges,grammar_size,ratio,baseline_ms,grammar_ms,pat_nodes,pat_edges,seed"
+CSV_HEADER = ("graphindex,nodes,edges,grammar_size,ratio,baseline_ms,grammar_ms,pat_nodes,"
+              "pat_edges,seed,compress_ms")
 
 # seeds for a cell must differ between graph and pattern streams
 _PATTERN_SEED_OFFSET = 1000003
@@ -61,11 +62,13 @@ class BenchRecord:
     pattern_nodes: int
     pattern_edges: int
     seed: int
+    compress_ms: float
 
     def csv_row(self) -> str:
         return (f"{self.graph_index},{self.nodes},{self.edges},{self.grammar_size},"
                 f"{self.ratio:.6f},{self.baseline_ms:.3f},{self.grammar_ms:.3f},"
-                f"{self.pattern_nodes},{self.pattern_edges},{self.seed}")
+                f"{self.pattern_nodes},{self.pattern_edges},{self.seed},"
+                f"{self.compress_ms:.3f}")
 
 
 _INT_KEYS = {"base_nodes", "label_alphabet", "pattern_nodes", "pattern_edges",
@@ -151,10 +154,10 @@ def run_bench(config: BenchConfig,
               progress: Callable[[str], None] | None = None) -> list[BenchRecord]:
     """Run every (graph index, seed) cell of the sweep.
 
-    Per cell: generate the graph, compress once, generate a pattern over
-    the graph's labels, time the simulation phase of both engines
-    (median of `repetitions` after a warmup), verify the expanded results
-    match, and record.
+    Per cell: generate the graph, compress once (timed, a single call),
+    generate a pattern over the graph's labels, time the simulation phase
+    of both engines (median of `repetitions` after a warmup), verify the
+    expanded results match, and record.
 
     Raises:
         ValueError: repetitions below 1, min_count below 2 or a cell's
@@ -186,7 +189,9 @@ def run_bench(config: BenchConfig,
         pattern = gen_pattern(pattern_params, graph.label_set())
         if progress:
             progress(f"{cell}: compressing {len(graph)} nodes")
+        started = time.perf_counter()
         grammar, path_map = compress(graph, min_count=config.min_count)
+        compress_ms = (time.perf_counter() - started) * 1000.0
         if progress:
             progress(f"{cell}: timing")
         baseline_ms, baseline_result = _timed(
@@ -206,7 +211,7 @@ def run_bench(config: BenchConfig,
             ratio=compression_ratio(graph, grammar),
             baseline_ms=baseline_ms, grammar_ms=grammar_ms,
             pattern_nodes=config.pattern_nodes, pattern_edges=config.pattern_edges,
-            seed=seed))
+            seed=seed, compress_ms=compress_ms))
     return records
 
 

@@ -10,6 +10,7 @@ becomes the start rule.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from typing import Iterable
 
 from .graph import LabeledGraph
@@ -28,11 +29,12 @@ class WorkGraph:
     list is its first part's followed by its second's.
 
     Paths are hash-consed into int ids (`paths[i]` is path i): each bare
-    terminal gets one id, and the intern table maps (step, id) to the id
-    of that path with `step` in front. A path is its first step plus the
-    rest, so the table names each distinct path once and each is built
-    once; `edges` and the `by_digram` keys hold ints. The table belongs
-    to the run and is freed with it.
+    terminal gets one id, and each step has one intern table,
+    `interned[step]`, that maps the id of a path to the id of that path
+    with `step` in front. A path is its first step plus the rest, so the
+    tables name each distinct path once and each is built once; `edges`
+    and the `by_digram` keys hold ints. The tables belong to the run and
+    are freed with it.
     """
 
     def __init__(self, graph: LabeledGraph):
@@ -41,7 +43,7 @@ class WorkGraph:
         self.labels: dict[int, str] = dict(graph.nodes)
         self.terminals: frozenset[str] = graph.label_set()
         self.paths: list[GrammarPathSuffix] = [bare(label) for label in sorted(self.terminals)]
-        self.interned: dict[tuple[tuple[str, int], int], int] = {}
+        self.interned: defaultdict[tuple[str, int], dict[int, int]] = defaultdict(dict)
         bares = {path.terminal: pid for pid, path in enumerate(self.paths)}
         self.leaves: dict[int, list[int]] = {nid: [nid] for nid in self.labels}
         self.edges: dict[int, tuple[int, int, int, int]] = {}
@@ -62,10 +64,10 @@ class WorkGraph:
 
     def _extend(self, step: tuple[str, int], pid: int) -> int:
         """The id of path `pid` with `step` in front, built on first request."""
-        key = (step, pid)
-        out = self.interned.get(key)
+        table = self.interned[step]
+        out = table.get(pid)
         if out is None:
-            out = self.interned[key] = len(self.paths)
+            out = table[pid] = len(self.paths)
             self.paths.append(self.paths[pid].prepend((step,)))
         return out
 
@@ -105,23 +107,45 @@ class WorkGraph:
         self.rule_pairs.append((self.paths[extend(first, key[0])],
                                 self.paths[extend(second, key[1])]))
         affected: set[tuple[int, int]] = set()
+        edges, touching, by_digram = self.edges, self.touching, self.by_digram
+        sides = ((first, self.interned[first]), (second, self.interned[second]))
         for eid in occurrences:
-            v1, _, v2, _ = self.edges[eid]
+            v1, _, v2, _ = edges[eid]
             self._drop_edge(eid, affected)
             n = self.max_ordinal + 1
             self.max_ordinal = n
             self.labels[n] = fresh_name
-            self.touching[n] = set()
+            moved = touching[n] = set()
             self.leaves[n] = self.leaves.pop(v1) + self.leaves.pop(v2)
-            for old, step in ((v1, first), (v2, second)):
-                for other_eid in list(self.touching[old]):
-                    src, sp, dst, dp = self.edges[other_eid]
+            # Only the end at `old` moves: the other end's touching set
+            # keeps the edge id. An edge between v1 and v2 is visited from
+            # each side and ends as a self-loop on n; a self-loop on `old`
+            # moves both ends in one visit.
+            for old, (step, table) in zip((v1, v2), sides):
+                for other in touching.pop(old):
+                    src, sp, dst, dp = edges[other]
+                    if src != dst:
+                        key_was = (sp, dp)
+                        bucket = by_digram[key_was]
+                        bucket.discard((src, dst, other))
+                        if not bucket:
+                            del by_digram[key_was]
+                        affected.add(key_was)
                     if src == old:
-                        src, sp = n, extend(step, sp)
+                        src, pid = n, table.get(sp)
+                        sp = extend(step, sp) if pid is None else pid
                     if dst == old:
-                        dst, dp = n, extend(step, dp)
-                    self._rekey_edge(other_eid, (src, sp, dst, dp), affected)
-                del self.touching[old]
+                        dst, pid = n, table.get(dp)
+                        dp = extend(step, dp) if pid is None else pid
+                    edges[other] = (src, sp, dst, dp)
+                    moved.add(other)
+                    if src != dst:
+                        key_now = (sp, dp)
+                        bucket = by_digram.get(key_now)
+                        if bucket is None:
+                            bucket = by_digram[key_now] = set()
+                        bucket.add((src, dst, other))
+                        affected.add(key_now)
                 del self.labels[old]
         return affected
 
@@ -136,17 +160,6 @@ class WorkGraph:
             if not bucket:
                 del self.by_digram[key]
             affected.add(key)
-
-    def _rekey_edge(self, eid: int, record, affected: set) -> None:
-        self._drop_edge(eid, affected)
-        src, sp, dst, dp = record
-        self.edges[eid] = record
-        self.touching[src].add(eid)
-        self.touching[dst].add(eid)
-        if src != dst:
-            new_key = (sp, dp)
-            self.by_digram.setdefault(new_key, set()).add((src, dst, eid))
-            affected.add(new_key)
 
     def to_grammar(self, terminals: Iterable[str], start_name: str
                    ) -> tuple[GraphGrammar, PathMap]:

@@ -20,11 +20,12 @@ def valid_label(name: str) -> bool:
 class LabeledGraph:
     """Immutable directed graph with labeled nodes and unlabeled edges.
 
-    Nodes are (id, label) pairs with caller-supplied positive integer ids;
-    ids need not be dense, and ascending id order is the node order. Edges
-    are a set of (src, dst) id pairs. Self-loops are allowed, parallel
-    edges collapse. Instances never change after construction and are safe
-    to share across threads.
+    Nodes are (id, label) pairs with caller-supplied positive integer ids,
+    not bools, which the edge-list format cannot hold; ids need not be
+    dense, and ascending id order is the node order. Edges are a set of
+    (src, dst) id pairs. Self-loops are allowed, parallel edges collapse.
+    Instances never change after construction and are safe to share
+    across threads.
     """
 
     __slots__ = ("_labels", "_edges", "_pred")
@@ -32,7 +33,7 @@ class LabeledGraph:
     def __init__(self, nodes: Iterable[tuple[int, str]], edges: Iterable[tuple[int, int]] = ()):
         labels: dict[int, str] = {}
         for nid, label in nodes:
-            if not isinstance(nid, int) or nid < 1:
+            if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:
                 raise ValueError(f"node id must be a positive integer, got {nid!r}")
             if nid in labels:
                 raise ValueError(f"duplicate node id {nid}")
@@ -41,10 +42,12 @@ class LabeledGraph:
             labels[nid] = label
         edge_set = set()
         for src, dst in edges:
-            if src not in labels:
-                raise ValueError(f"edge ({src}, {dst}) references undeclared node {src}")
-            if dst not in labels:
-                raise ValueError(f"edge ({src}, {dst}) references undeclared node {dst}")
+            # True and 1.0 find node 1 in labels, but would be stored as
+            # they are
+            if src not in labels or isinstance(src, bool) or not isinstance(src, int):
+                raise ValueError(f"edge ({src}, {dst}) references undeclared node {src!r}")
+            if dst not in labels or isinstance(dst, bool) or not isinstance(dst, int):
+                raise ValueError(f"edge ({src}, {dst}) references undeclared node {dst!r}")
             edge_set.add((src, dst))
         self._labels = dict(sorted(labels.items()))
         self._edges = frozenset(edge_set)

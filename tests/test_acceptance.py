@@ -295,9 +295,12 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     first, second = run_twice("bench", "--config", str(config))
 
     def stable_columns(text):
-        # wall-clock columns (baseline_ms, grammar_ms) vary run to run
+        # wall-clock columns (baseline_ms, grammar_ms, compress_ms) vary
+        # run to run
         rows = [line.split(",") for line in text.strip().splitlines()]
-        return [row[:5] + row[7:] for row in rows]
+        kept = [i for i, name in enumerate(rows[0])
+                if name not in ("baseline_ms", "grammar_ms", "compress_ms")]
+        return [[row[i] for i in kept] for row in rows]
 
     if stable_columns(first) != stable_columns(second):
         mismatches.append("bench")

@@ -152,6 +152,7 @@ def test_run_bench_record_shape():
         assert r.nodes > 0 and r.edges >= 0
         assert r.grammar_size > 0 and r.ratio > 0
         assert r.baseline_ms >= 0 and r.grammar_ms >= 0
+        assert r.compress_ms > 0
         assert (r.pattern_nodes, r.pattern_edges) == (3, 3)
 
 
@@ -215,9 +216,9 @@ def test_run_bench_detects_engine_disagreement(monkeypatch):
 def test_csv_format():
     record = BenchRecord(graph_index=1, nodes=24, edges=30, grammar_size=40,
                          ratio=0.7407407, baseline_ms=1.23456, grammar_ms=0.9,
-                         pattern_nodes=3, pattern_edges=3, seed=5)
+                         pattern_nodes=3, pattern_edges=3, seed=5, compress_ms=12.3456)
     text = to_csv([record])
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
-    assert lines[1] == "1,24,30,40,0.740741,1.235,0.900,3,3,5"
+    assert lines[1] == "1,24,30,40,0.740741,1.235,0.900,3,3,5,12.346"
     assert text.endswith("\n")

@@ -208,9 +208,9 @@ def test_bench_seed_override(tmp_path, capsys):
         "edges_per_node = 1.0\nlabel_alphabet = 2\n")
     code, out, err = run(capsys, "bench", "--config", str(config), "--seed", "2")
     assert code == 0
-    rows = out.strip().splitlines()[1:]
+    header, *rows = out.strip().splitlines()
     assert len(rows) == 1
-    assert rows[0].split(",")[-1] == "2"
+    assert rows[0].split(",")[header.split(",").index("seed")] == "2"
 
 
 def test_bench_rejects_repetitions_below_one_before_generating(tmp_path, capsys):

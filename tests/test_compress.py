@@ -4,10 +4,11 @@ from collections import defaultdict
 
 import pytest
 
-from gramsim import (GrammarPathSuffix, GraphGenParams, compress,
-                     compression_ratio, decompress, format_grammar,
+from gramsim import (GrammarPathSuffix, GraphGenParams, LabeledGraph,
+                     compress, compression_ratio, decompress, format_grammar,
                      format_path_map, gen_graph, graphs_isomorphic_under_map,
                      load_graph, size_metrics)
+from gramsim.compress import WorkGraph, _allocate_names
 
 from .conftest import random_soup, seeded_case
 
@@ -125,6 +126,58 @@ def test_equal_edge_pair_sides_are_one_object():
         gg, _ = compress(seeded_case(seed)[0])
         sides = [side for pair in gg.edge_pairs for side in pair]
         assert len({id(side) for side in sides}) == len(set(sides))
+
+
+def assert_bookkeeping(wg, node_ids):
+    """`touching` and `by_digram` equal what `edges` implies, and every
+    intern table entry names its path with the table's step in front."""
+    touching = {nid: set() for nid in wg.labels}
+    by_digram = defaultdict(set)
+    for eid, (src, sp, dst, dp) in wg.edges.items():
+        touching[src].add(eid)
+        touching[dst].add(eid)
+        if src != dst:
+            by_digram[(sp, dp)].add((src, dst, eid))
+    assert wg.touching == touching
+    assert wg.by_digram == by_digram
+    assert all(wg.by_digram.values())
+    for step, table in wg.interned.items():
+        for pid, out in table.items():
+            assert wg.paths[out] == wg.paths[pid].prepend((step,))
+    # each original node sits under exactly one live node
+    assert wg.leaves.keys() == wg.labels.keys()
+    assert sorted(leaf for leaves in wg.leaves.values() for leaf in leaves) == list(node_ids)
+
+
+def test_replace_keeps_edge_bookkeeping_exact():
+    # replace step by step as compress does (highest count first, ties by
+    # key text), checking the bookkeeping after every replacement
+    rng = random.Random(20261019)
+    graphs = [random_soup(rng, max_nodes=16) for _ in range(40)]
+    graphs += [seeded_case(seed)[0] for seed in range(16)]
+    # three copies of a -> b with a back edge b -> a and a loop on a, fed
+    # by c -> a: merging (a, b) visits the back edge from both sides and
+    # turns it into a loop, and merging (c, R1) then moves both loops
+    graphs.append(LabeledGraph(
+        [(3 * k + i, label) for k in range(3) for i, label in ((1, "a"), (2, "b"), (3, "c"))],
+        [edge for k in range(3) for edge in ((3 * k + 1, 3 * k + 2), (3 * k + 2, 3 * k + 1),
+                                             (3 * k + 1, 3 * k + 1), (3 * k + 3, 3 * k + 1))]))
+    for graph in graphs:
+        wg = WorkGraph(graph)
+        start_name, fresh_names = _allocate_names(wg.terminals)
+        assert_bookkeeping(wg, graph.node_ids)
+        while True:
+            counts = {key: len(wg._occurrences(key)) for key in wg.by_digram}
+            best = min(counts, default=None, key=lambda key: (
+                -counts[key], str(wg.paths[key[0]]), str(wg.paths[key[1]])))
+            if best is None or counts[best] < 2:
+                break
+            wg.replace(best, next(fresh_names))
+            assert_bookkeeping(wg, graph.node_ids)
+        gg, pm = wg.to_grammar(wg.terminals, start_name)
+        want_gg, want_pm = compress(graph)
+        assert format_grammar(gg) + format_path_map(pm) == (
+            format_grammar(want_gg) + format_path_map(want_pm))
 
 
 def test_compress_fig1_sizes(fig1_graph):

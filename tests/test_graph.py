@@ -75,6 +75,15 @@ def test_labeled_graph_validates():
         LabeledGraph([(1, "a")], {(1, 2)})
     with pytest.raises(ValueError):
         LabeledGraph([(1, "not ok")], set())
+    # True == 1 as an int, but the edge-list and path-map formats cannot
+    # hold it
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        LabeledGraph([(True, "a"), (2, "a")], [(True, 2)])
+    for end in (True, 1.0):
+        with pytest.raises(ValueError, match=f"undeclared node {end!r}"):
+            LabeledGraph([(1, "a"), (2, "a")], [(end, 2)])
+        with pytest.raises(ValueError, match=f"undeclared node {end!r}"):
+            LabeledGraph([(1, "a"), (2, "a")], [(2, end)])
 
 
 def test_predecessors_matches_edge_scan(fig1_graph):
