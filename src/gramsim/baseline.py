@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .graph import LabeledGraph, PatternGraph
+from .graph import LabeledGraph, PatternGraph, _pattern_predecessors
 
 
 @dataclass(frozen=True)
@@ -23,13 +23,6 @@ class GraphSharpeningStep:
     predecessors: frozenset[int]
     removed: frozenset[int]
     candidates: Mapping[int, frozenset[int]]
-
-
-def _pattern_predecessors(pattern: PatternGraph) -> dict[int, tuple[int, ...]]:
-    pred: dict[int, list[int]] = {u: [] for u in pattern.node_ids}
-    for src, dst in sorted(pattern.edges):
-        pred[dst].append(src)
-    return {u: tuple(vs) for u, vs in pred.items()}
 
 
 def simulate_on_graph(graph: LabeledGraph, pattern: PatternGraph, *,

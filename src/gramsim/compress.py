@@ -48,9 +48,8 @@ class WorkGraph:
         self.leaves: dict[int, list[int]] = {nid: [nid] for nid in self.labels}
         self.edges: dict[int, tuple[int, int, int, int]] = {}
         self.touching: dict[int, set[int]] = {nid: set() for nid in self.labels}
-        # digram key -> its non-loop edges as (src, dst, eid); an edge's
-        # endpoints only change when it moves to another key
-        self.by_digram: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
+        # digram key -> the ids of its non-loop edges
+        self.by_digram: dict[tuple[int, int], set[int]] = {}
         self.rules: list[Rule] = []
         self.rule_pairs: list[tuple[GrammarPathSuffix, GrammarPathSuffix]] = []
         self.max_ordinal = max(self.labels)
@@ -60,7 +59,7 @@ class WorkGraph:
             self.touching[src].add(eid)
             self.touching[dst].add(eid)
             if src != dst:
-                self.by_digram.setdefault((record[1], record[3]), set()).add((src, dst, eid))
+                self.by_digram.setdefault((record[1], record[3]), set()).add(eid)
 
     def _extend(self, step: tuple[str, int], pid: int) -> int:
         """The id of path `pid` with `step` in front, built on first request."""
@@ -76,11 +75,14 @@ class WorkGraph:
         bucket = self.by_digram.get(key)
         if not bucket:
             return []
+        edges = self.edges
         used: set[int] = set()
         out: list[int] = []
-        # (src, dst) is unique within a bucket: a path under a node names
-        # one original node, and original edges are distinct pairs
-        for src, dst, eid in sorted(bucket):
+        # a bucket's edges share their paths, so their records sort by
+        # (src, dst), which is unique within a bucket: a path under a node
+        # names one original node, and original edges are distinct pairs
+        for eid in sorted(bucket, key=edges.__getitem__):
+            src, _, dst, _ = edges[eid]
             if src in used or dst in used:
                 continue
             used.add(src)
@@ -106,28 +108,35 @@ class WorkGraph:
         extend = self._extend
         self.rule_pairs.append((self.paths[extend(first, key[0])],
                                 self.paths[extend(second, key[1])]))
-        affected: set[tuple[int, int]] = set()
+        affected: set[tuple[int, int]] = {key}
         edges, touching, by_digram = self.edges, self.touching, self.by_digram
         sides = ((first, self.interned[first]), (second, self.interned[second]))
+        bucket = by_digram[key]
+        bucket.difference_update(occurrences)
+        if not bucket:
+            del by_digram[key]
         for eid in occurrences:
-            v1, _, v2, _ = edges[eid]
-            self._drop_edge(eid, affected)
+            v1, _, v2, _ = edges.pop(eid)
             n = self.max_ordinal + 1
             self.max_ordinal = n
             self.labels[n] = fresh_name
             moved = touching[n] = set()
             self.leaves[n] = self.leaves.pop(v1) + self.leaves.pop(v2)
             # Only the end at `old` moves: the other end's touching set
-            # keeps the edge id. An edge between v1 and v2 is visited from
-            # each side and ends as a self-loop on n; a self-loop on `old`
-            # moves both ends in one visit.
+            # keeps the edge id. The occurrence itself is gone, and both
+            # touching sets that hold it are popped whole. Any other edge
+            # between v1 and v2 is visited from each side and ends as a
+            # self-loop on n; a self-loop on `old` moves both ends in one
+            # visit.
             for old, (step, table) in zip((v1, v2), sides):
                 for other in touching.pop(old):
+                    if other == eid:
+                        continue
                     src, sp, dst, dp = edges[other]
                     if src != dst:
                         key_was = (sp, dp)
                         bucket = by_digram[key_was]
-                        bucket.discard((src, dst, other))
+                        bucket.discard(other)
                         if not bucket:
                             del by_digram[key_was]
                         affected.add(key_was)
@@ -144,22 +153,10 @@ class WorkGraph:
                         bucket = by_digram.get(key_now)
                         if bucket is None:
                             bucket = by_digram[key_now] = set()
-                        bucket.add((src, dst, other))
+                        bucket.add(other)
                         affected.add(key_now)
                 del self.labels[old]
         return affected
-
-    def _drop_edge(self, eid: int, affected: set) -> None:
-        src, sp, dst, dp = self.edges.pop(eid)
-        self.touching[src].discard(eid)
-        self.touching[dst].discard(eid)
-        if src != dst:
-            key = (sp, dp)
-            bucket = self.by_digram[key]
-            bucket.discard((src, dst, eid))
-            if not bucket:
-                del self.by_digram[key]
-            affected.add(key)
 
     def to_grammar(self, terminals: Iterable[str], start_name: str
                    ) -> tuple[GraphGrammar, PathMap]:

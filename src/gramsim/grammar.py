@@ -44,7 +44,7 @@ class Rule:
         body = tuple(sorted(self.body))
         seen = set()
         for ordinal, label in body:
-            if not isinstance(ordinal, int) or ordinal < 1:
+            if isinstance(ordinal, bool) or not isinstance(ordinal, int) or ordinal < 1:
                 raise ValueError(f"rule {self.name}: ordinal must be a positive integer, got {ordinal!r}")
             if ordinal in seen:
                 raise ValueError(f"rule {self.name}: duplicate ordinal {ordinal}")
@@ -93,7 +93,13 @@ class GraphGrammar:
             if rule.name in rule_map:
                 raise ValueError(f"more than one rule named {rule.name}")
             rule_map[rule.name] = rule
-        pairs = sorted(set(edge_pairs), key=lambda p: (str(p[0]), str(p[1])))
+        pairs = list(edge_pairs)
+        for pair in pairs:
+            if (not isinstance(pair, tuple) or len(pair) != 2
+                    or not isinstance(pair[0], GrammarPathSuffix)
+                    or not isinstance(pair[1], GrammarPathSuffix)):
+                raise ValueError(f"edge pair {pair!r} is not two GrammarPathSuffix values")
+        pairs = sorted(set(pairs), key=lambda p: (str(p[0]), str(p[1])))
         object.__setattr__(self, "terminals", terms)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "_rules", rule_map)

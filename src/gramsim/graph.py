@@ -106,6 +106,16 @@ class LabeledGraph:
 PatternGraph = LabeledGraph
 
 
+def _pattern_predecessors(pattern: PatternGraph) -> dict[int, list[int]]:
+    """Each pattern node's predecessors, in sorted edge order. Both
+    simulation engines read them from here, so that they visit pattern
+    nodes in the same FIFO order."""
+    pred: dict[int, list[int]] = {u: [] for u in pattern.node_ids}
+    for src, dst in sorted(pattern.edges):
+        pred[dst].append(src)
+    return pred
+
+
 def predecessors(graph: LabeledGraph, targets: Iterable[int]) -> frozenset[int]:
     """All nodes with an edge into any node of `targets`.
 

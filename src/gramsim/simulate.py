@@ -19,8 +19,9 @@ re-coalescing. Suffixes are coded once they are checked against the
 grammar, and results are decoded into SuffixSets on the way out.
 Expansion into node ids is grammar.represented_node_union, which runs on
 the grammar's derivation tables and builds no simulation state. The
-grammar object holds the code table, the index and the lookups, so they
-die with it; an equal grammar builds its own.
+grammar object holds the code table, the index and, for optimized runs,
+each candidate set's predecessor set, so they die with it; an equal
+grammar builds its own.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .graph import PatternGraph
+from .graph import PatternGraph, _pattern_predecessors
 from .grammar import GraphGrammar, PathMap, _check_fit, represented_node_union
 from .suffix import GrammarPathSuffix, SuffixSet
 
@@ -195,12 +196,12 @@ class _GrammarState:
     is coded once, through a memo that is dropped once every left is
     coded.
 
-    The caches hold each lookup and, for optimized runs, the coalesced
-    predecessor set and its node count per candidate set."""
+    The one cache, for optimized runs, holds the coalesced predecessor
+    set and its node count per candidate set; a lookup's codes are kept
+    only inside it."""
 
     __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "_side_codes",
-                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "contrib",
-                 "pre_sets")
+                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "pre_sets")
 
     def __init__(self, gg: GraphGrammar, capacity: int = _CAPACITY):
         derived = gg._derivation()
@@ -241,7 +242,6 @@ class _GrammarState:
         self._left_sides = [pairs[i][0] for i in order]
         self._lefts: list[str | None] = [None] * len(order)
         self._uncoded = len(order)
-        self.contrib: dict[str, tuple[str, ...]] = {}
         self.pre_sets: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
 
     def encode(self, s: GrammarPathSuffix) -> str:
@@ -267,13 +267,6 @@ class _GrammarState:
         nodes = self._nodes
         return sum([nodes[key[-width:]] for key in keys])
 
-    def represents_a_node(self, keys: Iterable[str]) -> bool:
-        """Whether some suffix of `keys` represents a node: one anchored at
-        a rule the start rule does not reach represents none."""
-        width = self.width
-        nodes = self._nodes
-        return any(nodes[key[-width:]] for key in keys)
-
     def _side_code(self, s: GrammarPathSuffix) -> str:
         code = self._side_codes.get(s)
         if code is None:
@@ -295,25 +288,22 @@ class _GrammarState:
             found = lefts[start:end]
         return found
 
-    def lookup(self, key: str) -> tuple[str, ...]:
+    def lookup(self, key: str) -> list[str]:
         """Codes of the suffix-level predecessors of `key`, deduplicated
         neither by value nor by subsumption."""
-        found = self.contrib.get(key)
-        if found is None:
-            rights = self._rights
-            start = bisect_left(rights, key)
-            out = self._left_codes(start, bisect_left(rights, key + _ABOVE, start))
-            ends = self._ends
-            width = self.width
-            for m in range(width, len(key), width):
-                right = key[:m]
-                end = ends.get(right)
-                if end is not None:
-                    tail = key[m:]
-                    lefts = self._left_codes(bisect_left(rights, right, 0, end), end)
-                    out += [left + tail for left in lefts]
-            found = self.contrib[key] = tuple(out)
-        return found
+        rights = self._rights
+        start = bisect_left(rights, key)
+        out = self._left_codes(start, bisect_left(rights, key + _ABOVE, start))
+        ends = self._ends
+        width = self.width
+        for m in range(width, len(key), width):
+            right = key[:m]
+            end = ends.get(right)
+            if end is not None:
+                tail = key[m:]
+                lefts = self._left_codes(bisect_left(rights, right, 0, end), end)
+                out += [left + tail for left in lefts]
+        return out
 
     def predecessors(self, keys: Iterable[str]) -> tuple[str, ...]:
         out: list[str] = []
@@ -379,8 +369,9 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
     Same sharpening loop and FIFO policy as simulate_on_graph, with all
     node sets replaced by suffix sets. Both modes take predecessors from
     the same sorted index, which is built on the first run on a grammar
-    object and kept, with its lookups, for later runs on that object; an
-    equal grammar, such as a reloaded one, builds its own. With
+    object and kept for later runs on that object; an equal grammar,
+    such as a reloaded one, builds its own. Optimized runs also keep the
+    predecessor set of each candidate set they look up. With
     optimized=True, removals are deferred as (before, after) predecessor
     snapshots and applied when the target node is next inspected, and
     sets are re-coalesced to the shallowest equivalent suffixes; the
@@ -407,9 +398,7 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
     # first visit of each pattern node must run even when its label set
     # covers everything
     previous: dict[int, tuple[str, ...] | None] = {u: None for u in pattern.node_ids}
-    pattern_pred: dict[int, list[int]] = {u: [] for u in pattern.node_ids}
-    for src, dst in sorted(pattern.edges):
-        pattern_pred[dst].append(src)
+    pattern_pred = _pattern_predecessors(pattern)
 
     queue = deque(pattern.node_ids)
     queued = set(pattern.node_ids)
@@ -476,7 +465,9 @@ def simulate_on_grammar(gg: GraphGrammar, pattern: PatternGraph, *,
                 on_step(GrammarSharpeningStep(u, decode(pre_u), decode(removed), {
                     v: decode(c) for v, c in candidates.items()}))
 
-    if all(state.represents_a_node(c) for c in candidates.values()):
+    # a suffix anchored at a rule the start rule does not reach
+    # represents no node
+    if all(state.node_count(c) for c in candidates.values()):
         return SimulationResult({u: state.decode_set(c) for u, c in candidates.items()})
     return SimulationResult({})
 

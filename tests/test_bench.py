@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,3 +224,21 @@ def test_csv_format():
     assert lines[0] == CSV_HEADER
     assert lines[1] == "1,24,30,40,0.740741,1.235,0.900,3,3,5,12.346"
     assert text.endswith("\n")
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_bench_columns_and_defaults_match_the_code():
+    text = " ".join(README.read_text().split())
+    columns = re.search(r"Bench CSV columns: `([^`]+)`", text)
+    assert columns and columns.group(1) == CSV_HEADER
+    listed = re.search(r"Keys and defaults: (.*?)\. Any other key is an error", text)
+    assert listed
+    defaults = dict(re.fullmatch(r"`(\w+)` (\S+)", item).groups()
+                    for item in listed.group(1).split(", "))
+    assert list(defaults) == [f.name for f in fields(BenchConfig)]
+    for key, value in defaults.items():
+        # a listed value reads back, through the config parser, as the
+        # field's default
+        assert getattr(parse_config(f"{key} = {value}"), key) == getattr(BenchConfig(), key), key

@@ -137,7 +137,7 @@ def assert_bookkeeping(wg, node_ids):
         touching[src].add(eid)
         touching[dst].add(eid)
         if src != dst:
-            by_digram[(sp, dp)].add((src, dst, eid))
+            by_digram[(sp, dp)].add(eid)
     assert wg.touching == touching
     assert wg.by_digram == by_digram
     assert all(wg.by_digram.values())

@@ -42,8 +42,25 @@ def test_rule_validation():
         Rule("A", ((0, "x"),))
     with pytest.raises(ValueError):
         Rule("A", ((1, "x"), (1, "y")))
+    # True is an int, but format_grammar would write it as "True:a",
+    # which parse_grammar rejects
+    with pytest.raises(ValueError, match="ordinal must be a positive integer, got True"):
+        Rule("S", ((True, "a"), (2, "a")))
     # body is kept sorted by ordinal
     assert Rule("A", ((2, "y"), (1, "x"))).body == ((1, "x"), (2, "y"))
+
+
+@pytest.mark.parametrize("pair", [
+    ("S/1:a", "S/1:a"),
+    (parse_suffix("S/1:a"),),
+    (parse_suffix("S/1:a"),) * 3,
+    [parse_suffix("S/1:a")] * 2,
+    (parse_suffix("S/1:a"), "a"),
+])
+def test_grammar_rejects_a_malformed_edge_pair(pair):
+    good = (parse_suffix("S/1:a"), parse_suffix("S/2:a"))
+    with pytest.raises(ValueError, match="is not two GrammarPathSuffix values"):
+        GraphGrammar(["a"], [Rule("S", ((1, "a"), (2, "a")))], "S", [good, pair])
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -158,7 +158,21 @@ def test_optimized_emits_no_steps(fig1_grammar, cd_pattern):
     assert steps == []
 
 
-def test_a_node_without_pattern_predecessors_looks_nothing_up(fig1_grammar):
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts the predecessor lookups of each simulation state."""
+    counts = Counter()
+    real = _GrammarState.lookup
+
+    def counting(self, key):
+        counts[self] += 1
+        return real(self, key)
+
+    monkeypatch.setattr(_GrammarState, "lookup", counting)
+    return counts
+
+
+def test_a_node_without_pattern_predecessors_looks_nothing_up(fig1_grammar, lookups):
     # nothing reads the pre set of a node no pattern edge enters, unless
     # plain mode reports it through on_step
     gg = parse_grammar(format_grammar(fig1_grammar))
@@ -166,10 +180,10 @@ def test_a_node_without_pattern_predecessors_looks_nothing_up(fig1_grammar):
     for optimized in (True, False):
         assert texts(simulate_on_grammar(gg, pattern, optimized=optimized).candidates[1]) == {"c"}
     state = _state(gg)
-    assert not state.contrib and not state.pre_sets
+    assert not lookups and not state.pre_sets
     steps = []
     simulate_on_grammar(gg, pattern, on_step=steps.append)
-    assert [step.node for step in steps] == [1] and state.contrib
+    assert [step.node for step in steps] == [1] and lookups[state]
 
 
 def test_both_modes_match_baseline_on_generated_inputs():
@@ -341,17 +355,22 @@ def test_simulation_output_is_pinned():
 # ---- simulation state lives on the grammar object ----
 
 
-def test_a_reloaded_grammar_starts_with_empty_state(fig1_grammar, cd_pattern):
+def test_a_reloaded_grammar_starts_with_empty_state(fig1_grammar, cd_pattern, lookups):
     gg = parse_grammar(format_grammar(fig1_grammar))
     want = simulate_on_grammar(gg, cd_pattern, optimized=True)
     state = _state(gg)
-    assert state.contrib and state.pre_sets
+    assert lookups[state] and state.pre_sets
+    # a second run finds every predecessor set it needs kept
+    before = lookups[state]
+    assert simulate_on_grammar(gg, cd_pattern, optimized=True) == want
+    assert lookups[state] == before
     copy = parse_grammar(format_grammar(gg))
     assert copy == gg
     fresh = _state(copy)
     assert fresh is not state
-    assert not fresh.contrib and not fresh.pre_sets
+    assert not fresh.pre_sets
     assert simulate_on_grammar(copy, cd_pattern, optimized=True) == want
+    assert lookups[fresh] and lookups[state] == before
     assert _state(gg) is state and _state(copy) is fresh
 
 
