@@ -335,21 +335,51 @@ def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
             raise ValueError(err)
 
 
+def _checked_step(step: tuple[str, int]) -> tuple[str, int]:
+    if (not isinstance(step, tuple) or len(step) != 2
+            or not isinstance(step[0], str) or not valid_label(step[0])
+            or isinstance(step[1], bool) or not isinstance(step[1], int) or step[1] < 1):
+        raise ValueError(f"invalid step {step!r}: expected (rule name, positive int ordinal)")
+    return step
+
+
 class PathMap:
     """Bijection between full grammar paths and node ids, held in one dict.
 
     The constructor is the only code that checks entries: each path a
-    GrammarPathSuffix, each id a positive int (not a bool), no path or id
-    twice, as the `.map` format that parse_path_map reads needs."""
+    GrammarPathSuffix whose steps are a rule name and a positive int
+    ordinal (not a bool) and whose terminal is a label, each id a positive
+    int (not a bool), no path or id twice, as the `.map` format that
+    parse_path_map reads needs. parse_path_map's paths come from the
+    suffix parser, which has checked their steps and terminals, so it
+    passes `_paths_checked` and pays only for the rest."""
 
     __slots__ = ("_by_path", "_dense")
 
-    def __init__(self, entries: Iterable[tuple[GrammarPathSuffix, int]]):
+    def __init__(self, entries: Iterable[tuple[GrammarPathSuffix, int]], *,
+                 _paths_checked: bool = False):
         by_path: dict[GrammarPathSuffix, int] = {}
         ids: set[int] = set()
+        # Each step and terminal that passed, mapped to itself, so that one
+        # shared by many paths is checked once. A hit must be the object
+        # that passed, since an equal one may print otherwise:
+        # ("S", True) == ("S", 1).
+        passed: dict = {}
+        get = passed.get
         for path, nid in entries:
             if not isinstance(path, GrammarPathSuffix):
                 raise ValueError(f"path must be a GrammarPathSuffix, got {path!r}")
+            if not _paths_checked:
+                steps, terminal = path.steps, path.terminal
+                if not isinstance(steps, tuple):
+                    raise ValueError(f"path steps must be a tuple, got {steps!r}")
+                for step in steps:
+                    if get(step) is not step:
+                        passed[step] = _checked_step(step)
+                if get(terminal) is not terminal:
+                    if not isinstance(terminal, str) or not valid_label(terminal):
+                        raise ValueError(f"invalid terminal {terminal!r}")
+                    passed[terminal] = terminal
             if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:
                 raise ValueError(f"node id must be positive, got {nid!r}")
             if path in by_path:
@@ -631,7 +661,7 @@ def parse_path_map(text: str) -> PathMap:
             yield path, int(tokens[1])
 
     try:
-        return PathMap(entries())
+        return PathMap(entries(), _paths_checked=True)
     except GrammarFormatError:
         raise
     except ValueError as exc:

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -128,6 +128,75 @@ def test_equal_edge_pair_sides_are_one_object():
         assert len({id(side) for side in sides}) == len(set(sides))
 
 
+def three_copies(loops=(1, 2, 3)):
+    """Three copies of c -> a -> b with a back edge b -> a, and a loop on
+    the a of each copy in `loops`."""
+    return LabeledGraph(
+        [(3 * k + i, label) for k in range(3) for i, label in ((1, "a"), (2, "b"), (3, "c"))],
+        [edge for k in range(3) for edge in ((3 * k + 1, 3 * k + 2), (3 * k + 2, 3 * k + 1),
+                                             (3 * k + 3, 3 * k + 1))]
+        + [(3 * k - 2, 3 * k - 2) for k in loops])
+
+
+def test_edges_inside_every_instance_fold_into_the_rule():
+    # R1 = (a, b) leaves each back edge as a loop on an R1 node, and
+    # R2 = (c, R1) moves the loops on a under R2: every instance has both,
+    # so the back edge folds into R1, and the loop on a folds into R2 and
+    # on into R1, where both its sides run through the terminal R1/1
+    gg, _ = compress(three_copies())
+    assert gg.rules["R2"].body == ((1, "c"), (2, "R1"))
+    assert gg.rules[gg.start].body == ((1, "R2"), (2, "R2"), (3, "R2"))
+    assert [(str(left), str(right)) for left, right in gg.edge_pairs] == [
+        ("R1/1:a", "R1/1:a"), ("R1/1:a", "R1/2:b"), ("R1/2:b", "R1/1:a"),
+        ("R2/1:c", "R2/2:R1/1:a")]
+    assert_round_trip(three_copies())
+    # a loop that two of the three instances have stays a pair of each
+    gg, _ = compress(three_copies(loops=(1, 2)))
+    assert [(str(left), str(right)) for left, right in gg.edge_pairs
+            if left.steps[0][0] == gg.start] == [
+        ("S/1:R2/2:R1/1:a", "S/1:R2/2:R1/1:a"), ("S/2:R2/2:R1/1:a", "S/2:R2/2:R1/1:a")]
+    assert_round_trip(three_copies(loops=(1, 2)))
+
+
+def foldable_shapes(gg):
+    """The shapes (sides below their shared first step) of edge pairs whose
+    sides share their first step into a rule R, where the shape runs
+    through every body position that calls R."""
+    calls = Counter(label for rule in gg.rules.values() for _, label in rule.body)
+    positions = defaultdict(set)
+    for left, right in gg.edge_pairs:
+        step = left.steps[0]
+        if len(left.steps) > 1 and right.steps[0] == step:
+            positions[(left.steps[1][0], GrammarPathSuffix(left.steps[1:], left.terminal),
+                       GrammarPathSuffix(right.steps[1:], right.terminal))].add(step)
+    return [shape for shape, steps in positions.items() if len(steps) == calls[shape[0]]]
+
+
+def test_compress_leaves_no_shape_to_fold():
+    rng = random.Random(20261020)
+    graphs = [seeded_case(seed)[0] for seed in range(12)]
+    graphs += [random_soup(rng) for _ in range(30)]
+    graphs.append(three_copies())
+    folded = 0
+    for graph in graphs:
+        gg, _ = compress(graph)
+        assert foldable_shapes(gg) == []
+        # each rule of compress has one pair of its own; any other pair
+        # anchored at it was folded there
+        folded += sum(left.steps[0][0] != gg.start for left, _ in gg.edge_pairs) - (
+            len(gg.rules) - 1)
+    assert folded > 0
+
+
+def test_query_stream_graph_folds_to_33_edge_pairs():
+    # perfbench's query-stream graph: 3,270 edge pairs before the fold,
+    # 3,250 of them copies of 13 shapes inside merged nodes
+    graph = gen_graph(GraphGenParams(40, 250, 0.0, 1.25, 2, 1))
+    gg, _ = compress(graph)
+    assert len(gg.edge_pairs) == 33
+    assert compression_ratio(graph, gg) == pytest.approx(0.0366, abs=5e-5)
+
+
 def assert_bookkeeping(wg, node_ids):
     """`touching` and `by_digram` equal what `edges` implies, and every
     intern table entry names its path with the table's step in front."""
@@ -158,10 +227,7 @@ def test_replace_keeps_edge_bookkeeping_exact():
     # three copies of a -> b with a back edge b -> a and a loop on a, fed
     # by c -> a: merging (a, b) visits the back edge from both sides and
     # turns it into a loop, and merging (c, R1) then moves both loops
-    graphs.append(LabeledGraph(
-        [(3 * k + i, label) for k in range(3) for i, label in ((1, "a"), (2, "b"), (3, "c"))],
-        [edge for k in range(3) for edge in ((3 * k + 1, 3 * k + 2), (3 * k + 2, 3 * k + 1),
-                                             (3 * k + 1, 3 * k + 1), (3 * k + 3, 3 * k + 1))]))
+    graphs.append(three_copies())
     for graph in graphs:
         wg = WorkGraph(graph)
         start_name, fresh_names = _allocate_names(wg.terminals)
@@ -251,19 +317,19 @@ def test_repeated_chunks_compress_below_unity():
 # change to the compressor's output shows here.
 GOLDEN = [
     ((40, 50, 0.0, 1.25, 2, 1),
-     "c484bf3262ea35dd3d8915665b1d7c8a9bf1653aa2d8641357de2f1772c4862a"),
+     "fdfed791e7270745be854763115a368b7724ca5994affb01503e33ceb538218d"),
     ((50, 40, 0.5, 2.0, 4, 1),
-     "7b8edca5e9785484296614827527a9358647a71343c156b1d83ba15f26b68414"),
+     "2ea869ef4b123068645ab6264b8e48b7f4bb0c80bd4e2beff7810dd84e195550"),
     ((16, 10, 0.5, 1.25, 2, 0),
-     "35968e0ef2dd5281398adfd45905af2e0870dacb63356995e017b61882ba4c0c"),
+     "845fb571ee103167eb1392a1c74ccfc5717a275c8aa49924ec567f0cfe1548ef"),
     ((16, 10, 0.5, 1.25, 2, 1),
      "e341de1ac6c46cc75bd3284bf705faab2a4c920d03e32270c8e23400c699d861"),
     ((16, 10, 0.5, 1.25, 2, 2),
-     "e79f534538d4cebf1916365891441bc42571165bad2480f062693ab397f800fe"),
+     "051f87d2defbfab64fc5b4465481b16af1973f7432e322bcee4353c85213fa4e"),
     ((40, 250, 0.0, 1.25, 2, 1),
-     "52f98036b5b0d261aa5e3c07db282be4e2e82ce5015eaaba83df23375e2b303d"),
+     "0453ce4570cfbd07a6b245f83d411059b6ade08a10cdff4418977ad70ca36e7f"),
     ((50, 200, 0.5, 2.0, 4, 1),
-     "d7bc007556e05301452ca0a0f6a8dd04f0b0a6b331266afd8eae41bd91488622"),
+     "794f65551103b472139fb3dfa2199fd74336fed2316b705ab5248ce4f7e9f87f"),
 ]
 
 

@@ -280,6 +280,23 @@ def test_path_map_rejects_duplicates():
     ([(bare("a"), 1.0)], "node id must be positive, got 1.0"),
     ([("a", 1)], "path must be a GrammarPathSuffix, got 'a'"),
     ([(bare("a"), 1), (None, 2)], "path must be a GrammarPathSuffix, got None"),
+    # paths that format_path_map would write and parse_path_map reject
+    ([(GrammarPathSuffix((("S", 1),), "a b"), 1)], "invalid terminal 'a b'"),
+    ([(GrammarPathSuffix((("S", 0),), "a b"), 1)],
+     "invalid step ('S', 0): expected (rule name, positive int ordinal)"),
+    ([(GrammarPathSuffix((("S", True),), "a"), 1)],
+     "invalid step ('S', True): expected (rule name, positive int ordinal)"),
+    ([(GrammarPathSuffix((("S:T", 1),), "a"), 1)],
+     "invalid step ('S:T', 1): expected (rule name, positive int ordinal)"),
+    ([(GrammarPathSuffix((("S", 1.0),), "a"), 1)],
+     "invalid step ('S', 1.0): expected (rule name, positive int ordinal)"),
+    ([(GrammarPathSuffix(("S",), "a"), 1)],
+     "invalid step 'S': expected (rule name, positive int ordinal)"),
+    ([(GrammarPathSuffix("S/1", "a"), 1)], "path steps must be a tuple, got 'S/1'"),
+    ([(GrammarPathSuffix((), 7), 1)], "invalid terminal 7"),
+    # a step or terminal equal to one already checked is checked again
+    ([(parse_suffix("S/1:a"), 1), (GrammarPathSuffix((("S", True),), "b"), 2)],
+     "invalid step ('S', True): expected (rule name, positive int ordinal)"),
 ])
 def test_path_map_rejects_entries_the_map_format_cannot_hold(entries, message):
     with pytest.raises(ValueError) as err:
@@ -292,7 +309,10 @@ _path_texts = st.sampled_from(["a", "b", "S/1:a", "S/2:a", "S/1:T/3:b", "R2/1:S/
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(
-    st.one_of(_path_texts.map(parse_suffix), _path_texts, st.none()),
+    st.one_of(_path_texts.map(parse_suffix), _path_texts, st.none(),
+              st.sampled_from([GrammarPathSuffix((("S", 0),), "a b"),
+                               GrammarPathSuffix((("S", True),), "a"),
+                               GrammarPathSuffix((("S", 1),), "a b")])),
     st.one_of(st.integers(-3, 8), st.booleans(), st.integers(1, 8).map(str))), max_size=6))
 def test_every_accepted_path_map_round_trips(entries):
     try:

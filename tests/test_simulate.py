@@ -344,7 +344,7 @@ def _simulation_transcript(seed):
 # sha256 over both modes' result sets and plain mode's step snapshots, each
 # set in canonical order, on twenty generated cases: any change to what the
 # simulator returns, or to the order its sets iterate in, shows here.
-SIMULATION_DIGEST = "3df1a153df94a9021f789be678cc7f7f9e57d485ea2c8f14812dc4d3bd6fae60"
+SIMULATION_DIGEST = "0166a8789cb71135d545155ad213d623c429718447e3855bbf33bc6a6bd6c7f0"
 
 
 def test_simulation_output_is_pinned():
