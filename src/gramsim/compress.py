@@ -251,7 +251,9 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
     Repeatedly replaces the digram with the highest non-overlapping count
     (ties: lexicographically smallest key text) until every count is below
     min_count. The returned PathMap sends each full grammar path to the
-    original node id it stands for.
+    original node id it stands for. It holds those ids in the grammar's
+    canonical path order and builds no path: lookups walk the asked path,
+    and iterating or formatting the map builds its paths then.
 
     Raises:
         ValueError: empty graph, or min_count < 2.

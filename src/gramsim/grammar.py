@@ -153,7 +153,7 @@ class GraphGrammar:
                     v.append(f"start symbol {self.start} appears in body of rule {rule.name}")
                 elif label not in self.terminals and label not in self._rules:
                     v.append(f"rule {rule.name}: unknown label {label} at ordinal {ordinal}")
-        _, cycle = self._walk_calls()
+        _, cycle = _walk_calls(self._rules)
         if cycle:
             v.append("recursive grammar: " + " -> ".join(cycle))
         # a side shared by many edge pairs is checked once per call, and
@@ -205,51 +205,7 @@ class GraphGrammar:
         its shift; any other suffix's ids are its shift over the bases of
         its anchor rule's instances. `offsets` is the derivation's table,
         read once by the caller rather than once per suffix."""
-        # suffix_violation's walk, stopping at the first misfit: no message to word
-        if s.terminal not in self.terminals:
-            return None
-        rules = self._rules
-        expected = s.terminal
-        shift = 1
-        for step in reversed(s.steps):
-            rule = rules.get(step[0])
-            if rule is None or rule._by_ordinal.get(step[1]) != expected:
-                return None
-            expected = step[0]
-            shift += offsets[step]
-        return shift
-
-    def _walk_calls(self) -> tuple[list[str], list[str] | None]:
-        """One depth-first walk over rule calls, from each rule in turn:
-        the rules callee-first, and the first cycle met (its rules from
-        the first repeated one on, that one again at the end) or None."""
-        rules = self._rules
-        order: list[str] = []
-        cycle = None
-        state: dict[str, bool] = {}  # True while on the trail, then False
-        for root in rules:
-            if root in state:
-                continue
-            state[root] = True
-            trail = [root]
-            stack = [iter(rules[root].body)]
-            while stack:
-                for _, label in stack[-1]:
-                    if label not in rules:
-                        continue
-                    if label not in state:
-                        state[label] = True
-                        trail.append(label)
-                        stack.append(iter(rules[label].body))
-                        break
-                    if state[label] and cycle is None:
-                        cycle = trail[trail.index(label):] + [label]
-                else:
-                    name = trail.pop()
-                    state[name] = False
-                    order.append(name)
-                    stack.pop()
-        return order, cycle
+        return _fit_shift(self._rules, self.terminals, offsets, s)
 
     # ---- derived structure (valid grammars only) ----
 
@@ -262,7 +218,7 @@ class GraphGrammar:
         derived = self._derived
         if derived is None:
             rules = self._rules
-            order, _ = self._walk_calls()
+            order, _ = _walk_calls(rules)
             occurrences: dict[str, list[tuple[str, int]]] = {}
             leaf_counts: dict[str, int] = {}
             offsets: dict[tuple[str, int], int] = {}
@@ -300,29 +256,85 @@ class GraphGrammar:
 
     def iter_full_paths(self) -> Iterator[tuple[tuple[tuple[str, int], ...], str]]:
         """Yield (steps, terminal) of every full path in depth-first order."""
-        if self.start not in self._rules:
-            return
-        stack: list[list] = [[self.start, self._rules[self.start].body, 0, False]]
-        prefix: list[tuple[str, int]] = []
-        while stack:
-            frame = stack[-1]
-            name, body, idx, own_step = frame
-            if idx == len(body):
-                stack.pop()
-                if own_step:
-                    prefix.pop()
-                continue
-            frame[2] += 1
-            ordinal, label = body[idx]
-            rule = self._rules.get(label)
-            if rule is not None:
-                prefix.append((name, ordinal))
-                stack.append([label, rule.body, 0, True])
-            else:
-                yield tuple(prefix) + ((name, ordinal),), label
+        return _full_paths(self._rules, self.start)
 
 
 # ---- path semantics ----
+
+
+def _walk_calls(rules: Mapping[str, Rule]) -> tuple[list[str], list[str] | None]:
+    """One depth-first walk over rule calls, from each rule in turn: the
+    rules callee-first, and the first cycle met (its rules from the first
+    repeated one on, that one again at the end) or None."""
+    order: list[str] = []
+    cycle = None
+    state: dict[str, bool] = {}  # True while on the trail, then False
+    for root in rules:
+        if root in state:
+            continue
+        state[root] = True
+        trail = [root]
+        stack = [iter(rules[root].body)]
+        while stack:
+            for _, label in stack[-1]:
+                if label not in rules:
+                    continue
+                if label not in state:
+                    state[label] = True
+                    trail.append(label)
+                    stack.append(iter(rules[label].body))
+                    break
+                if state[label] and cycle is None:
+                    cycle = trail[trail.index(label):] + [label]
+            else:
+                name = trail.pop()
+                state[name] = False
+                order.append(name)
+                stack.pop()
+    return order, cycle
+
+
+def _fit_shift(rules: Mapping[str, Rule], terminals: frozenset[str],
+               offsets: dict[tuple[str, int], int], s: GrammarPathSuffix) -> int | None:
+    # GraphGrammar._canonical_shift on the grammar's parts, which a
+    # canonical path map holds without the grammar: suffix_violation's
+    # walk, stopping at the first misfit, with no message to word
+    if s.terminal not in terminals:
+        return None
+    expected = s.terminal
+    shift = 1
+    for step in reversed(s.steps):
+        rule = rules.get(step[0])
+        if rule is None or rule._by_ordinal.get(step[1]) != expected:
+            return None
+        expected = step[0]
+        shift += offsets[step]
+    return shift
+
+
+def _full_paths(rules: Mapping[str, Rule], start: str
+                ) -> Iterator[tuple[tuple[tuple[str, int], ...], str]]:
+    # GraphGrammar.iter_full_paths on the grammar's rules and start symbol
+    if start not in rules:
+        return
+    stack: list[list] = [[start, rules[start].body, 0, False]]
+    prefix: list[tuple[str, int]] = []
+    while stack:
+        frame = stack[-1]
+        name, body, idx, own_step = frame
+        if idx == len(body):
+            stack.pop()
+            if own_step:
+                prefix.pop()
+            continue
+        frame[2] += 1
+        ordinal, label = body[idx]
+        rule = rules.get(label)
+        if rule is not None:
+            prefix.append((name, ordinal))
+            stack.append([label, rule.body, 0, True])
+        else:
+            yield tuple(prefix) + ((name, ordinal),), label
 
 
 def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
@@ -344,15 +356,22 @@ def _checked_step(step: tuple[str, int]) -> tuple[str, int]:
 
 
 class PathMap:
-    """Bijection between full grammar paths and node ids, held in one dict.
+    """Bijection between full grammar paths and node ids.
 
-    The constructor is the only code that checks entries: each path a
+    A map built from entries holds them in one dict, path to id. The
+    constructor is the only code that checks entries: each path a
     GrammarPathSuffix whose steps are a rule name and a positive int
     ordinal (not a bool) and whose terminal is a label, each id a positive
     int (not a bool), no path or id twice, as the `.map` format that
     parse_path_map reads needs. parse_path_map's paths come from the
     suffix parser, which has checked their steps and terminals, so it
-    passes `_paths_checked` and pays only for the rest."""
+    passes `_paths_checked` and pays only for the rest.
+
+    A map that compress or decompress returns (built by `_canonical`)
+    holds no paths: only its ids, in the canonical order of its grammar's
+    full paths, and the parts of the grammar that name them. Lookups walk
+    the asked path; iteration, equality and format_path_map build the
+    paths when asked."""
 
     __slots__ = ("_by_path", "_dense")
 
@@ -394,27 +413,28 @@ class PathMap:
     @classmethod
     def _canonical(cls, gg: GraphGrammar, ids: Sequence[int]) -> PathMap:
         """The map that gives gg's full paths, taken in canonical order,
-        the ids `ids` (canonical id i gets ids[i - 1]), with its table for
-        gg already stored. The entries are not checked: the full paths are
-        distinct by construction, and `ids` must be distinct positive ints,
-        one per node of gg."""
-        full_paths = (GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths())
-        pm = object.__new__(cls)
-        pm._by_path = dict(zip(full_paths, ids, strict=True))
-        pm._dense = (weakref.ref(gg), [None, *ids])
-        return pm
+        the ids `ids` (canonical id i gets ids[i - 1]). It holds the table
+        [None, *ids], which is also its table for gg, and gg's rules,
+        start symbol, terminals and derivation offsets, but not gg itself.
+        The entries are not checked: gg must be valid, and `ids` distinct
+        positive ints, one per node of gg."""
+        return _CanonicalPathMap(gg, [None, *ids])
+
+    def _pairs(self) -> Iterable[tuple[GrammarPathSuffix, int]]:
+        """The (path, id) entries in no set order."""
+        return self._by_path.items()
 
     def node_for(self, path: GrammarPathSuffix) -> int:
         return self._by_path[path]
 
     def _ids_by_canonical(self, gg: GraphGrammar) -> list[int | None]:
         # Dense canonical id -> this map's id table over gg's full paths,
-        # None where the map lacks the path. Kept for the grammar last asked
-        # about, checked by identity, through a weak reference so the map
-        # never keeps a grammar alive. A map from compress or decompress
-        # comes with the table for its own grammar (_canonical); a parsed
-        # map, or any map asked about another grammar object, even an equal
-        # one, builds it here.
+        # None where the map lacks the path; gg must be valid. Kept for the
+        # grammar last asked about, checked by identity, through a weak
+        # reference so the map never keeps a grammar alive. A map from
+        # compress or decompress comes with the table for its own grammar
+        # (_canonical); a parsed map, or any map asked about another grammar
+        # object, even an equal one, builds it here.
         dense = self._dense
         if dense is not None and dense[0]() is gg:
             return dense[1]
@@ -428,7 +448,7 @@ class PathMap:
         shift = gg._canonical_shift
         offsets = gg._derivation().offsets
         table: list[int | None] = [None] * (gg.node_count() + 1)
-        for path, nid in self._by_path.items():
+        for path, nid in self._pairs():
             steps = path.steps
             if steps and steps[0][0] == start:
                 cid = shift(path, offsets)
@@ -442,7 +462,7 @@ class PathMap:
 
     def __iter__(self) -> Iterator[tuple[GrammarPathSuffix, int]]:
         """The (path, id) entries in ascending id order."""
-        return iter(sorted(self._by_path.items(), key=itemgetter(1)))
+        return iter(sorted(self._pairs(), key=itemgetter(1)))
 
     def __contains__(self, path: GrammarPathSuffix) -> bool:
         return path in self._by_path
@@ -450,10 +470,61 @@ class PathMap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathMap):
             return NotImplemented
-        return self._by_path == other._by_path
+        # ids are distinct, so equal maps list equal entries in id order
+        return len(self) == len(other) and list(self) == list(other)
 
     def __repr__(self) -> str:
-        return f"PathMap({len(self._by_path)} paths)"
+        return f"PathMap({len(self)} paths)"
+
+
+class _CanonicalPathMap(PathMap):
+    """A PathMap over one grammar's full paths, held as its id table.
+
+    `_table[c]` is the id of the full path with canonical id c. A path is
+    found by the fit-and-offset walk that gives its canonical id, so no
+    path is built until the map is iterated."""
+
+    __slots__ = ("_table", "_rules", "_start", "_terminals", "_offsets")
+
+    def __init__(self, gg: GraphGrammar, table: list[int | None]):
+        self._table = table
+        self._rules = gg._rules
+        self._start = gg.start
+        self._terminals = gg.terminals
+        self._offsets = gg._derivation().offsets
+        self._dense = (weakref.ref(gg), table)
+
+    def _shift(self, path: GrammarPathSuffix) -> int | None:
+        # the canonical id of `path`, or None if it is no full path: a full
+        # path is anchored at the start rule, and the start symbol is in no
+        # body, so every path that fits from there is one
+        if not isinstance(path, GrammarPathSuffix):
+            return None
+        steps = path.steps
+        try:
+            if not steps or steps[0][0] != self._start:
+                return None
+            return _fit_shift(self._rules, self._terminals, self._offsets, path)
+        except (IndexError, KeyError, TypeError):
+            return None  # a step that is no (rule, ordinal) pair
+
+    def _pairs(self) -> Iterable[tuple[GrammarPathSuffix, int]]:
+        """The (path, id) entries in canonical order."""
+        paths = (GrammarPathSuffix(steps, terminal)
+                 for steps, terminal in _full_paths(self._rules, self._start))
+        return zip(paths, islice(self._table, 1, None))
+
+    def node_for(self, path: GrammarPathSuffix) -> int:
+        shift = self._shift(path)
+        if shift is None:
+            raise KeyError(path)
+        return self._table[shift]
+
+    def __len__(self) -> int:
+        return len(self._table) - 1
+
+    def __contains__(self, path: GrammarPathSuffix) -> bool:
+        return self._shift(path) is not None
 
 
 def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
@@ -509,14 +580,28 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
 
     Node ids are assigned in depth-first path order (start rule ordinal 1
     first, recursively), so the result is canonical. Each edge pair
-    contributes one edge per instance of its anchor rule.
+    contributes one edge per instance of its anchor rule. The returned
+    PathMap is the identity on canonical ids: it holds the ids 1..n and
+    builds no full path until it is iterated or formatted.
 
     Raises:
         GrammarValidationError: if validate() reports violations.
     """
     gg.ensure_valid()
-    path_map = PathMap._canonical(gg, range(1, gg.node_count() + 1))
-    nodes = [(i, path.terminal) for path, i in path_map._by_path.items()]
+    # each rule's leaf labels in depth-first order, built callees first
+    # from one walk over rule calls, so the start rule's list is the
+    # nodes' labels in canonical id order and no path is built
+    rules = gg._rules
+    order, _ = _walk_calls(rules)
+    leaves: dict[str, list[str]] = {}
+    for name in order:
+        out = leaves[name] = []
+        for _, label in rules[name].body:
+            if label in rules:
+                out += leaves[label]
+            else:
+                out.append(label)
+    labels = leaves[gg.start]
     # the canonical id of ctx + steps is 1 + the anchor instance's base +
     # the offsets of steps, so no instance's step prefix is built
     derived = gg._derivation()
@@ -527,7 +612,8 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
         src = 1 + sum(offsets[step] for step in left.steps)
         dst = 1 + sum(offsets[step] for step in right.steps)
         edges.update((base + src, base + dst) for base in bases[left.steps[0][0]])
-    return LabeledGraph(nodes, edges), path_map
+    graph = LabeledGraph(enumerate(labels, start=1), edges)
+    return graph, PathMap._canonical(gg, range(1, len(labels) + 1))
 
 
 # ---- text format ----

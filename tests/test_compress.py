@@ -7,7 +7,7 @@ import pytest
 from gramsim import (GrammarPathSuffix, GraphGenParams, LabeledGraph,
                      compress, compression_ratio, decompress, format_grammar,
                      format_path_map, gen_graph, graphs_isomorphic_under_map,
-                     load_graph, size_metrics)
+                     load_graph, parse_grammar, save_graph, size_metrics)
 from gramsim.compress import WorkGraph, _allocate_names
 
 from .conftest import random_soup, seeded_case
@@ -333,10 +333,47 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("params, digest", GOLDEN)
+# sha256 of save_graph + format_path_map for decompress of each GOLDEN
+# graph's grammar, read back from its text: the graph and the canonical
+# map decompress builds from a stored grammar.
+GOLDEN_DECOMPRESS = [
+    ((40, 50, 0.0, 1.25, 2, 1),
+     "b83db00e4fa85cdc2a89bc3d07788df4e55c6251d9b8a2b40b24931764454e1b"),
+    ((50, 40, 0.5, 2.0, 4, 1),
+     "9d44231d4e1c0303c5ae2b64060dc0eee865249224d7a21829d58d774012cb6f"),
+    ((16, 10, 0.5, 1.25, 2, 0),
+     "16057ba4432eccb4ffa6100dab9a91a6832d44c024e2e57635f782b9c9100cac"),
+    ((16, 10, 0.5, 1.25, 2, 1),
+     "62a4664ece9dcb9022a598d4bc14b3b224a1b8cde6879aafdc7e2cdf62457895"),
+    ((16, 10, 0.5, 1.25, 2, 2),
+     "d23994535968a5d47e3e66cc47898d5e9d29a522e1c27111c45ba81e734c2121"),
+    ((40, 250, 0.0, 1.25, 2, 1),
+     "e6e39ee10b8aa039c7c4cdd50ee25c4763032128abb617077ce0098687273971"),
+    ((50, 200, 0.5, 2.0, 4, 1),
+     "2f2c60329773c3115fc94bbc8a0d6142f6326e685ba7a87e5f12163fc4184a64"),
+]
+
+
+def _graph_id(params):
+    # the test id names the graph, not the digest, so a re-pin keeps it
+    *shape, seed = params
+    return "-".join(map(str, shape)) + f"-s{seed}"
+
+
+@pytest.mark.parametrize("params, digest", GOLDEN,
+                         ids=[_graph_id(params) for params, _ in GOLDEN])
 def test_compress_output_is_pinned(params, digest):
     gg, pm = compress(gen_graph(GraphGenParams(*params)))
     text = format_grammar(gg) + format_path_map(pm)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("params, digest", GOLDEN_DECOMPRESS,
+                         ids=[_graph_id(params) for params, _ in GOLDEN_DECOMPRESS])
+def test_decompress_output_is_pinned(params, digest):
+    gg, _ = compress(gen_graph(GraphGenParams(*params)))
+    graph, pm = decompress(parse_grammar(format_grammar(gg)))
+    text = save_graph(graph) + format_path_map(pm)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -492,17 +492,21 @@ def test_path_map_does_not_keep_its_grammar_alive(fig1_grammar):
     gg = parse_grammar(format_grammar(fig1_grammar))
     _, pm = decompress(gg)
     assert represented_node_union(gg, [bare("b")], pm) == {5}
+    checks = _parity_checks(pm, gg, [fig1_grammar, parse_grammar(OTHER_S)])
     ref = weakref.ref(gg)
     del gg
     gc.collect()
     assert ref() is None
     assert represented_node_union(fig1_grammar, [bare("b")], pm) == {5}
+    _assert_acts_like_dict_form(pm, *checks)
 
 
 def test_compress_map_does_not_keep_its_grammar_alive():
     graph, pattern = seeded_case(11, max_base=10)
     gg, pm = compress(graph)
     text = format_grammar(gg)
+    other = compress(seeded_case(10, max_base=10)[0])[0]
+    checks = _parity_checks(pm, gg, [parse_grammar(text), other])
     ref = weakref.ref(gg)
     del gg
     gc.collect()
@@ -512,6 +516,128 @@ def test_compress_map_does_not_keep_its_grammar_alive():
     result = simulate_on_grammar(reloaded, pattern, optimized=True)
     assert expand_by_node(reloaded, result, pm) == simulate_on_graph(graph, pattern)
     assert pm._ids_by_canonical(reloaded) == _reference_ids(pm, reloaded)
+    _assert_acts_like_dict_form(pm, *checks)
+
+
+# ---- canonical path maps against their dict form ----
+
+
+def _misfits(gg, full, rng):
+    # paths that name no node of gg, made from a sample of its full paths
+    out = []
+    for path in rng.sample(full, min(8, len(full))):
+        steps, terminal = path.steps, path.terminal
+        if len(steps) > 1:
+            out.append(GrammarPathSuffix(steps[1:], terminal))    # non-start anchor
+            out.append(GrammarPathSuffix(steps[:-1], steps[-1][0]))  # nonterminal end
+        i = rng.randrange(len(steps))
+        expected = steps[i + 1][0] if i + 1 < len(steps) else terminal
+        wrong = [(n, o) for n, o, label in _positions(gg) if label != expected]
+        if wrong:   # broken label chain at depth i
+            broken = steps[:i] + (rng.choice(wrong),) + steps[i + 1:]
+            out.append(GrammarPathSuffix(broken, terminal))
+        name, ordinal = steps[i]
+        for step in [("NoSuchRule", ordinal),   # unknown rule
+                     (name, max(o for o, _ in gg.rules[name].body) + 1)]:   # unknown ordinal
+            out.append(GrammarPathSuffix(steps[:i] + (step,) + steps[i + 1:], terminal))
+    return out
+
+
+def _parity_checks(pm, gg, grammars):
+    """What _assert_acts_like_dict_form needs, taken while gg is alive: the
+    dict form of pm, gg's full paths, misfits of gg, and the grammars to
+    expand through."""
+    dict_form = PathMap(list(pm))
+    full = [GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths()]
+    misfits = _misfits(gg, full, random.Random(len(full)))
+    # a step that is no (rule, ordinal) pair names no node either
+    misfits.append(GrammarPathSuffix(((gg.start,),), full[0].terminal))
+    return dict_form, full, misfits, grammars
+
+
+def _union_outcome(gg, suffixes, pm):
+    try:
+        return represented_node_union(gg, suffixes, pm)
+    except KeyError as err:
+        return err.args
+
+
+def _assert_acts_like_dict_form(pm, dict_form, full, misfits, grammars):
+    assert len(pm) == len(dict_form) == len(full)
+    assert list(pm) == list(dict_form)
+    assert pm == dict_form and dict_form == pm
+    entries = list(dict_form)
+    swapped = PathMap([(entries[0][0], entries[-1][1])] + entries[1:-1]
+                      + [(entries[-1][0], entries[0][1])])
+    fewer = PathMap(entries[1:])
+    for unequal in (swapped, fewer):
+        assert pm != unequal and unequal != pm
+    assert format_path_map(pm) == format_path_map(dict_form)
+    for path in full:
+        assert path in pm
+        assert pm.node_for(path) == dict_form.node_for(path)
+    for path in misfits:
+        assert path not in pm and path not in dict_form
+        for m in (pm, dict_form):
+            with pytest.raises(KeyError) as err:
+                m.node_for(path)
+            assert err.value.args == (path,)
+    for g in grammars:
+        probe = [bare(t) for t in sorted(g.terminals)]
+        assert _union_outcome(g, probe, pm) == _union_outcome(g, probe, dict_form)
+
+
+def _maps_with_grammars(case):
+    # the compress map and the decompress map of one case, each with the
+    # grammar it was built for
+    if case == "fig1":
+        graph = load_graph((DATA / "fig1.el").read_text())
+    else:
+        graph, _ = seeded_case(case, max_base=10)
+    gg, compressed = compress(graph)
+    reloaded = parse_grammar(format_grammar(gg))
+    return [(compressed, gg), (decompress(reloaded)[1], reloaded)]
+
+
+@pytest.mark.parametrize("case", [*range(12), "fig1"])
+def test_canonical_map_acts_like_its_dict_form(case):
+    other = parse_grammar(OTHER_S) if case == "fig1" else compress(
+        seeded_case((case + 1) % 12, max_base=10)[0])[0]
+    pairs = _maps_with_grammars(case)
+    key_errors = 0
+    for pm, gg in pairs:
+        assert type(pm) is not PathMap   # the canonical form, not a dict
+        grammars = [parse_grammar(format_grammar(gg)), other]
+        _assert_acts_like_dict_form(pm, *_parity_checks(pm, gg, grammars))
+        # the other grammar's paths are not all in pm, so expansion
+        # through it reports a missing path
+        probe = [bare(t) for t in sorted(other.terminals)]
+        key_errors += isinstance(_union_outcome(other, probe, pm), tuple)
+    assert key_errors == len(pairs)
+
+
+def test_decompress_builds_no_path_per_node(monkeypatch):
+    # perfbench's query-stream graph: 10,000 nodes, 33 edge pairs
+    gg, _ = compress(gen_graph(GraphGenParams(40, 250, 0.0, 1.25, 2, 1)))
+    gg = parse_grammar(format_grammar(gg))
+    made = 0
+    init = GrammarPathSuffix.__init__
+
+    def counting_init(self, steps, terminal):
+        nonlocal made
+        made += 1
+        init(self, steps, terminal)
+
+    monkeypatch.setattr(GrammarPathSuffix, "__init__", counting_init)
+    graph, pm = decompress(gg)
+    assert len(graph) == 10_000 and len(gg.edge_pairs) == 33
+    # the edge pairs' sides are the only paths a grammar holds
+    assert made <= 2 * len(gg.edge_pairs)
+    full = [GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths()]
+    made = 0
+    # lookups walk the asked path and build no path dict
+    assert all(path in pm and pm.node_for(path) == i for i, path in enumerate(full, start=1))
+    assert made == 0
 
 
 # ---- parser fuzzing over compressor output ----
@@ -719,17 +845,7 @@ def test_path_map_table_matches_its_definition(seed, other_seed):
         del entries[path]   # gaps: paths the map lacks
     full = [path for path, _ in pm]
     misfits = [path for path, _ in other_pm][:8]   # another grammar's paths
-    for path in rng.sample(full, min(8, len(full))):
-        steps, terminal = path.steps, path.terminal
-        if len(steps) > 1:
-            misfits.append(GrammarPathSuffix(steps[1:], terminal))    # non-start anchor
-            misfits.append(GrammarPathSuffix(steps[:-1], steps[-1][0]))  # nonterminal end
-        i = rng.randrange(len(steps))
-        expected = steps[i + 1][0] if i + 1 < len(steps) else terminal
-        wrong = [(n, o) for n, o, label in _positions(gg) if label != expected]
-        if wrong:   # broken label chain at depth i
-            broken = steps[:i] + (rng.choice(wrong),) + steps[i + 1:]
-            misfits.append(GrammarPathSuffix(broken, terminal))
+    misfits += _misfits(gg, full, rng)
     next_id = max(pm.node_for(path) for path in full) + 1
     for k, path in enumerate(misfits):
         entries.setdefault(path, next_id + k)
