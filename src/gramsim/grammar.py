@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -157,14 +157,17 @@ class GraphGrammar:
         if cycle:
             v.append("recursive grammar: " + " -> ".join(cycle))
         # a side shared by many edge pairs is checked once per call, and
-        # reported once per occurrence
-        checked: dict[GrammarPathSuffix, str | None] = {}
+        # reported once per occurrence; compress and parse_grammar give
+        # equal sides as one object, so the memo keys by identity, without
+        # hashing a suffix (the grammar keeps every side alive meanwhile)
+        checked: dict[int, str | None] = {}
         for left, right in self.edge_pairs:
             for s in (left, right):
-                if s in checked:
-                    err = checked[s]
+                key = id(s)
+                if key in checked:
+                    err = checked[key]
                 else:
-                    err = checked[s] = self.suffix_violation(s)
+                    err = checked[key] = self.suffix_violation(s)
                 if err:
                     v.append(err)
             if not left.steps or not right.steps:
@@ -205,7 +208,9 @@ class GraphGrammar:
         its shift; any other suffix's ids are its shift over the bases of
         its anchor rule's instances. `offsets` is the derivation's table,
         read once by the caller rather than once per suffix."""
-        return _fit_shift(self._rules, self.terminals, offsets, s)
+        if s.terminal not in self.terminals:
+            return None
+        return _fit_shift(self._rules, offsets, s)
 
     # ---- derived structure (valid grammars only) ----
 
@@ -219,21 +224,7 @@ class GraphGrammar:
         if derived is None:
             rules = self._rules
             order, _ = _walk_calls(rules)
-            occurrences: dict[str, list[tuple[str, int]]] = {}
-            leaf_counts: dict[str, int] = {}
-            offsets: dict[tuple[str, int], int] = {}
-            for name in order:  # callees first, so their leaf counts are known
-                before = 0
-                for ordinal, label in rules[name].body:
-                    # one tuple serves both tables, so the build makes no
-                    # more objects for the collector than the offsets alone
-                    position = (name, ordinal)
-                    occurrences.setdefault(label, []).append(position)
-                    offsets[position] = before
-                    before += leaf_counts[label] if label in rules else 1
-                leaf_counts[name] = before
-            for positions in occurrences.values():
-                positions.sort()
+            occurrences, leaf_counts, offsets = _position_tables(rules, order)
             bases: dict[str, list[int]] = {name: [] for name in rules}
             bases[self.start] = [0]
             for name in reversed(order):  # callers first
@@ -294,13 +285,38 @@ def _walk_calls(rules: Mapping[str, Rule]) -> tuple[list[str], list[str] | None]
     return order, cycle
 
 
-def _fit_shift(rules: Mapping[str, Rule], terminals: frozenset[str],
-               offsets: dict[tuple[str, int], int], s: GrammarPathSuffix) -> int | None:
-    # GraphGrammar._canonical_shift on the grammar's parts, which a
-    # canonical path map holds without the grammar: suffix_violation's
-    # walk, stopping at the first misfit, with no message to word
-    if s.terminal not in terminals:
-        return None
+def _position_tables(rules: Mapping[str, Rule], order: list[str]
+                     ) -> tuple[dict[str, list[tuple[str, int]]], dict[str, int],
+                                dict[tuple[str, int], int]]:
+    """The derivation's tables of body positions, from non-recursive rules
+    and `order`, their callee-first order: each label's positions in
+    canonical order, each rule's leaf count, and each position's offset
+    (the leaves before it within its rule). A label that names no rule is
+    a leaf."""
+    occurrences: dict[str, list[tuple[str, int]]] = {}
+    leaf_counts: dict[str, int] = {}
+    offsets: dict[tuple[str, int], int] = {}
+    for name in order:  # callees first, so their leaf counts are known
+        before = 0
+        for ordinal, label in rules[name].body:
+            # one tuple serves both tables, so the build makes no more
+            # objects for the collector than the offsets alone
+            position = (name, ordinal)
+            occurrences.setdefault(label, []).append(position)
+            offsets[position] = before
+            before += leaf_counts[label] if label in rules else 1
+        leaf_counts[name] = before
+    for positions in occurrences.values():
+        positions.sort()
+    return occurrences, leaf_counts, offsets
+
+
+def _fit_shift(rules: Mapping[str, Rule], offsets: dict[tuple[str, int], int],
+               s: GrammarPathSuffix) -> int | None:
+    # GraphGrammar._canonical_shift on the grammar's rules and offsets,
+    # which a canonical path map holds without the grammar:
+    # suffix_violation's walk, stopping at the first misfit, with no
+    # message to word; whether s ends in a terminal is the caller's check
     expected = s.terminal
     shift = 1
     for step in reversed(s.steps):
@@ -358,20 +374,22 @@ def _checked_step(step: tuple[str, int]) -> tuple[str, int]:
 class PathMap:
     """Bijection between full grammar paths and node ids.
 
-    A map built from entries holds them in one dict, path to id. The
-    constructor is the only code that checks entries: each path a
-    GrammarPathSuffix whose steps are a rule name and a positive int
-    ordinal (not a bool) and whose terminal is a label, each id a positive
-    int (not a bool), no path or id twice, as the `.map` format that
-    parse_path_map reads needs. parse_path_map's paths come from the
+    A map built from entries, or parsed from `<path> <id>` text, holds
+    them in one dict, path to id. The constructor is the only code that
+    checks entries: each path a GrammarPathSuffix whose steps are a rule
+    name and a positive int ordinal (not a bool) and whose terminal is a
+    label, each id a positive int (not a bool), no path or id twice, as
+    the `<path> <id>` format needs. parse_path_map's paths come from the
     suffix parser, which has checked their steps and terminals, so it
     passes `_paths_checked` and pays only for the rest.
 
-    A map that compress or decompress returns (built by `_canonical`)
-    holds no paths: only its ids, in the canonical order of its grammar's
-    full paths, and the parts of the grammar that name them. Lookups walk
-    the asked path; iteration, equality and format_path_map build the
-    paths when asked."""
+    A map that compress or decompress returns (built by `_canonical`),
+    or that parse_path_map reads from the table format that
+    format_path_map writes for such a map, holds no paths: only its ids,
+    in the canonical order of a grammar's full paths, and that grammar's
+    rules and start symbol, which name them. Lookups walk the asked path;
+    iteration and equality with a map of other rules build the paths
+    when asked."""
 
     __slots__ = ("_by_path", "_dense")
 
@@ -415,10 +433,12 @@ class PathMap:
         """The map that gives gg's full paths, taken in canonical order,
         the ids `ids` (canonical id i gets ids[i - 1]). It holds the table
         [None, *ids], which is also its table for gg, and gg's rules,
-        start symbol, terminals and derivation offsets, but not gg itself.
-        The entries are not checked: gg must be valid, and `ids` distinct
+        start symbol and derivation offsets, but not gg itself. The
+        entries are not checked: gg must be valid, and `ids` distinct
         positive ints, one per node of gg."""
-        return _CanonicalPathMap(gg, [None, *ids])
+        pm = _CanonicalPathMap(gg._rules, gg.start, gg._derivation().offsets, [None, *ids])
+        pm._dense = (weakref.ref(gg), pm._table)
+        return pm
 
     def _pairs(self) -> Iterable[tuple[GrammarPathSuffix, int]]:
         """The (path, id) entries in no set order."""
@@ -431,13 +451,15 @@ class PathMap:
         # Dense canonical id -> this map's id table over gg's full paths,
         # None where the map lacks the path; gg must be valid. Kept for the
         # grammar last asked about, checked by identity, through a weak
-        # reference so the map never keeps a grammar alive. A map from
-        # compress or decompress comes with the table for its own grammar
-        # (_canonical); a parsed map, or any map asked about another grammar
-        # object, even an equal one, builds it here.
+        # reference so the map never keeps a grammar alive.
         dense = self._dense
         if dense is not None and dense[0]() is gg:
             return dense[1]
+        table = self._table_for(gg)
+        self._dense = (weakref.ref(gg), table)
+        return table
+
+    def _table_for(self, gg: GraphGrammar) -> list[int | None]:
         # The map's own entries fill the table: an entry that is a full path
         # of gg, anchored at its start rule and fitting it, lands at its
         # canonical id; any other entry names no node of gg. One walk per
@@ -454,7 +476,6 @@ class PathMap:
                 cid = shift(path, offsets)
                 if cid is not None:
                     table[cid] = nid
-        self._dense = (weakref.ref(gg), table)
         return table
 
     def __len__(self) -> int:
@@ -478,33 +499,41 @@ class PathMap:
 
 
 class _CanonicalPathMap(PathMap):
-    """A PathMap over one grammar's full paths, held as its id table.
+    """A PathMap over the full paths of the grammar its rules and start
+    symbol make, held as its id table.
 
     `_table[c]` is the id of the full path with canonical id c. A path is
     found by the fit-and-offset walk that gives its canonical id, so no
-    path is built until the map is iterated."""
+    path is built until the map is iterated. The rules must not be
+    recursive and the start symbol must have a rule and be in no body."""
 
-    __slots__ = ("_table", "_rules", "_start", "_terminals", "_offsets")
+    __slots__ = ("_table", "_rules", "_start", "_offsets")
 
-    def __init__(self, gg: GraphGrammar, table: list[int | None]):
+    def __init__(self, rules: Mapping[str, Rule], start: str,
+                 offsets: dict[tuple[str, int], int], table: list[int | None]):
         self._table = table
-        self._rules = gg._rules
-        self._start = gg.start
-        self._terminals = gg.terminals
-        self._offsets = gg._derivation().offsets
-        self._dense = (weakref.ref(gg), table)
+        self._rules = rules
+        self._start = start
+        self._offsets = offsets
+        self._dense = None
+
+    def _same_paths(self, rules: Mapping[str, Rule], start: str) -> bool:
+        # equal rules and start symbols derive the same full paths in the
+        # same canonical order
+        return start == self._start and rules == self._rules
 
     def _shift(self, path: GrammarPathSuffix) -> int | None:
         # the canonical id of `path`, or None if it is no full path: a full
-        # path is anchored at the start rule, and the start symbol is in no
-        # body, so every path that fits from there is one
+        # path is anchored at the start rule and ends in a label that names
+        # no rule, and the start symbol is in no body, so every path that
+        # fits from there is one
         if not isinstance(path, GrammarPathSuffix):
             return None
         steps = path.steps
         try:
-            if not steps or steps[0][0] != self._start:
+            if not steps or steps[0][0] != self._start or path.terminal in self._rules:
                 return None
-            return _fit_shift(self._rules, self._terminals, self._offsets, path)
+            return _fit_shift(self._rules, self._offsets, path)
         except (IndexError, KeyError, TypeError):
             return None  # a step that is no (rule, ordinal) pair
 
@@ -513,6 +542,13 @@ class _CanonicalPathMap(PathMap):
         paths = (GrammarPathSuffix(steps, terminal)
                  for steps, terminal in _full_paths(self._rules, self._start))
         return zip(paths, islice(self._table, 1, None))
+
+    def _table_for(self, gg: GraphGrammar) -> list[int | None]:
+        # a grammar of the map's own rules, such as the reloaded grammar
+        # beside a parsed map, reads the map's table as it is
+        if self._same_paths(gg._rules, gg.start):
+            return self._table
+        return super()._table_for(gg)
 
     def node_for(self, path: GrammarPathSuffix) -> int:
         shift = self._shift(path)
@@ -525,6 +561,11 @@ class _CanonicalPathMap(PathMap):
 
     def __contains__(self, path: GrammarPathSuffix) -> bool:
         return self._shift(path) is not None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _CanonicalPathMap) and self._same_paths(other._rules, other._start):
+            return self._table == other._table
+        return super().__eq__(other)
 
 
 def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
@@ -619,6 +660,43 @@ def decompress(gg: GraphGrammar) -> tuple[LabeledGraph, PathMap]:
 # ---- text format ----
 
 
+def _start_line(lineno: int, tokens: list[str], start: str | None) -> str:
+    """The symbol of a START line; `start` is the one read before, if any."""
+    if start is not None:
+        raise GrammarFormatError(f"line {lineno}: duplicate START line")
+    if len(tokens) != 2 or not valid_label(tokens[1]):
+        raise GrammarFormatError(f"line {lineno}: START expects one symbol")
+    return tokens[1]
+
+
+def _rule_line(lineno: int, tokens: list[str], rule_lines: dict[str, int]) -> Rule:
+    """The rule of a RULE line, noted in `rule_lines` (rule name -> line),
+    which must not hold it yet."""
+    if len(tokens) < 3 or tokens[2] != "=>":
+        raise GrammarFormatError(f"line {lineno}: expected 'RULE name => items'")
+    name = tokens[1]
+    if name in rule_lines:
+        raise GrammarFormatError(
+            f"line {lineno}: rule {name} already defined on line {rule_lines[name]}")
+    body = []
+    for item in tokens[3:]:
+        ordinal, colon, label = item.partition(":")
+        if not colon or not ordinal.isdigit() or int(ordinal) < 1 or not valid_label(label):
+            raise GrammarFormatError(f"line {lineno}: malformed body item {item!r}")
+        body.append((int(ordinal), label))
+    try:
+        rule = Rule(name, tuple(body))
+    except ValueError as exc:
+        raise GrammarFormatError(f"line {lineno}: {exc}") from exc
+    rule_lines[name] = lineno
+    return rule
+
+
+def _rule_text(rule: Rule) -> str:
+    items = " ".join(f"{ordinal}:{label}" for ordinal, label in rule.body)
+    return f"RULE {rule.name} => {items}" if items else f"RULE {rule.name} =>"
+
+
 def parse_grammar(text: str) -> GraphGrammar:
     """Parse the grammar text format.
 
@@ -658,31 +736,11 @@ def parse_grammar(text: str) -> GraphGrammar:
                     raise GrammarFormatError(f"line {lineno}: invalid terminal {t!r}")
             terminals = tokens[1:]
         elif kind == "START":
-            if start is not None:
-                raise GrammarFormatError(f"line {lineno}: duplicate START line")
-            if len(tokens) != 2 or not valid_label(tokens[1]):
-                raise GrammarFormatError(f"line {lineno}: START expects one symbol")
-            start = tokens[1]
+            start = _start_line(lineno, tokens, start)
         elif kind == "RULE":
             if terminals is None or start is None:
                 raise GrammarFormatError(f"line {lineno}: RULE before TERMINALS/START header")
-            if len(tokens) < 3 or tokens[2] != "=>":
-                raise GrammarFormatError(f"line {lineno}: expected 'RULE name => items'")
-            name = tokens[1]
-            if name in rule_lines:
-                raise GrammarFormatError(
-                    f"line {lineno}: rule {name} already defined on line {rule_lines[name]}")
-            body = []
-            for item in tokens[3:]:
-                ordinal, colon, label = item.partition(":")
-                if not colon or not ordinal.isdigit() or int(ordinal) < 1 or not valid_label(label):
-                    raise GrammarFormatError(f"line {lineno}: malformed body item {item!r}")
-                body.append((int(ordinal), label))
-            try:
-                rules.append(Rule(name, tuple(body)))
-            except ValueError as exc:
-                raise GrammarFormatError(f"line {lineno}: {exc}") from exc
-            rule_lines[name] = lineno
+            rules.append(_rule_line(lineno, tokens, rule_lines))
         elif kind == "EDGE":
             if terminals is None or start is None:
                 raise GrammarFormatError(f"line {lineno}: EDGE before TERMINALS/START header")
@@ -707,30 +765,59 @@ def parse_grammar(text: str) -> GraphGrammar:
 def format_grammar(gg: GraphGrammar) -> str:
     """Serialize a grammar deterministically (inverse of parse_grammar)."""
     lines = ["TERMINALS " + " ".join(sorted(gg.terminals)), f"START {gg.start}"]
-    for rule in gg.rules.values():
-        items = " ".join(f"{ordinal}:{label}" for ordinal, label in rule.body)
-        lines.append(f"RULE {rule.name} => {items}" if items else f"RULE {rule.name} =>")
+    lines += map(_rule_text, gg.rules.values())
     for left, right in gg.edge_pairs:
         lines.append(f"EDGE {left} {right}")
     return "\n".join(lines) + "\n"
 
 
+# first line of a path map in table form; a `<path> <id>` line has two tokens
+_TABLE_MARKER = "CANONICAL"
+
+
 def format_path_map(pm: PathMap) -> str:
-    """Serialize a path map as `<path> <id>` lines in ascending id order."""
+    """Serialize a path map; parse_path_map reads the text back.
+
+    A map from compress or decompress, or one parsed from such text, is
+    written in table form: a `CANONICAL` line, the `START` line and the
+    `RULE` lines of the grammar whose full paths it maps, as
+    format_grammar writes them, and then one id per line, in the
+    canonical (depth-first) order of those full paths. No path is built.
+    Any other map is written as `<path> <id>` lines in ascending id
+    order."""
+    if isinstance(pm, _CanonicalPathMap):
+        lines = [_TABLE_MARKER, f"START {pm._start}"]
+        lines += map(_rule_text, pm._rules.values())
+        lines += map(str, islice(pm._table, 1, None))
+        return "\n".join(lines) + "\n"
     return "".join(f"{path} {nid}\n" for path, nid in pm)
 
 
 def parse_path_map(text: str) -> PathMap:
-    """Parse `<path> <id>` lines, the output of format_path_map.
+    """Parse the output of format_path_map, in either form.
 
-    Each path is a full grammar path in suffix syntax and each id a
-    positive integer; `#` comments and blank lines are skipped. Whether the
-    paths fit a grammar is not checked; PathMap checks the entries.
+    `#` comments and blank lines are skipped. A document whose first line
+    is `CANONICAL` is in table form: the START and RULE lines, read as
+    parse_grammar reads them, then one positive id per line, as many as
+    the rules derive nodes from the start symbol, in the canonical order
+    of their full paths. The map holds the rules, the start symbol and the
+    ids, and builds no path. Any other document is `<path> <id>` lines:
+    each path a full grammar path in suffix syntax and each id a positive
+    integer, held in a dict. Whether the paths fit a grammar is not
+    checked; PathMap checks the entries.
 
     Raises:
-        GrammarFormatError: on a malformed line, a malformed path, an id
-            below 1, or a path or id already seen, with the line number.
+        GrammarFormatError: with the line number, on a malformed line, a
+            malformed path, an id below 1, or a path or id already seen;
+            in table form also on a missing or repeated START line, a
+            malformed or repeated RULE line, a start symbol with no rule or
+            in a body, recursive rules, or an id count other than the
+            number of nodes the rules derive.
     """
+    lines = _lines(text, GrammarFormatError)
+    first = next(lines, None)
+    if first is not None and first[1] == [_TABLE_MARKER]:
+        return _parse_table_map(text, first[0], lines)
     step_memo: dict[str, tuple[str, int]] = {}
     terminal_memo: dict[str, str] = {}
     lineno = 0
@@ -754,3 +841,90 @@ def parse_path_map(text: str) -> PathMap:
         # PathMap checks each entry before it asks for the next, so the
         # line read last holds the entry it rejected
         raise GrammarFormatError(f"line {lineno}: {exc}") from exc
+
+
+def _parse_table_map(text: str, lineno: int,
+                     lines: Iterator[tuple[int, list[str]]]) -> PathMap:
+    # parse_path_map's table form; `lines` stands after the marker line,
+    # which is line `lineno`
+    start: str | None = None
+    start_lineno = 0
+    rules: dict[str, Rule] = {}
+    rule_lines: dict[str, int] = {}
+    first_id = None
+    for lineno, tokens in lines:
+        if tokens[0] == "START":
+            start = _start_line(lineno, tokens, start)
+            start_lineno = lineno
+        elif tokens[0] == "RULE":
+            rule = _rule_line(lineno, tokens, rule_lines)
+            rules[rule.name] = rule
+        else:
+            first_id = lineno, tokens
+            break
+    if start is None:
+        raise GrammarFormatError(f"line {lineno}: missing START line")
+    if start not in rules:
+        raise GrammarFormatError(f"line {start_lineno}: start symbol {start} has no rule")
+    for rule in rules.values():
+        if any(label == start for _, label in rule.body):
+            raise GrammarFormatError(f"line {rule_lines[rule.name]}: start symbol {start} "
+                                     f"appears in body of rule {rule.name}")
+    order, cycle = _walk_calls(rules)
+    if cycle:
+        raise GrammarFormatError(f"line {rule_lines[cycle[0]]}: recursive rules: "
+                                 + " -> ".join(cycle))
+    _, leaf_counts, offsets = _position_tables(rules, order)
+    count = leaf_counts[start]
+    if first_id is None:
+        ids = _table_ids((), count, lineno)
+    else:
+        ids = _plain_ids(text.split("\n")[first_id[0] - 1:], count)
+        if ids is None:
+            ids = _table_ids(chain([first_id], lines), count, lineno)
+    return _CanonicalPathMap(rules, start, offsets, [None, *ids])
+
+
+def _plain_ids(rows: list[str], count: int) -> list[int] | None:
+    # the ids of the rows to the end of a table-form map when all of them
+    # are good and each is bare ASCII digits, the form format_path_map
+    # writes; None sends any other rows through _table_ids
+    if rows[-1] == "":
+        rows.pop()  # after the final newline
+    digits = "".join(rows)
+    if len(rows) != count or "" in rows or not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        ids = list(map(int, rows))
+    except ValueError:
+        return None  # beyond int()'s digit limit
+    if 0 in ids or len(set(ids)) != count:
+        return None
+    return ids
+
+
+def _table_ids(lines: Iterable[tuple[int, list[str]]], count: int, lineno: int) -> list[int]:
+    # the id lines of a table-form map, one line at a time, so that the
+    # first bad line is the one reported; `lineno` is the line before them
+    ids: list[int] = []
+    seen: set[int] = set()
+    for lineno, tokens in lines:
+        if len(tokens) != 1 or not tokens[0].isdigit():
+            raise GrammarFormatError(f"line {lineno}: expected one node id")
+        try:
+            nid = int(tokens[0])
+        except ValueError as exc:
+            raise GrammarFormatError(f"line {lineno}: {exc}") from exc
+        if nid < 1:
+            raise GrammarFormatError(f"line {lineno}: node id must be positive, got {nid}")
+        if nid in seen:
+            raise GrammarFormatError(f"line {lineno}: duplicate node id {nid}")
+        if len(ids) == count:
+            raise GrammarFormatError(f"line {lineno}: more node ids than the {count} nodes "
+                                     "the rules derive")
+        ids.append(nid)
+        seen.add(nid)
+    if len(ids) != count:
+        raise GrammarFormatError(f"line {lineno}: {len(ids)} node ids for the {count} nodes "
+                                 "the rules derive")
+    return ids

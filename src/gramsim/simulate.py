@@ -42,6 +42,11 @@ from .suffix import GrammarPathSuffix, SuffixSet
 _CAPACITY = sys.maxunicode
 _ABOVE = chr(_CAPACITY)
 
+# The most codes, keys and values together, that one grammar's optimized
+# runs keep in _GrammarState.pre_sets; the oldest sets go first beyond it.
+# The benchmark's ingest grammar holds about 50,000 after 48 answers.
+_PRE_SET_CODES = 500_000
+
 
 @dataclass(frozen=True)
 class GrammarSharpeningStep:
@@ -192,16 +197,20 @@ class _GrammarState:
     The rights that are proper suffixes of `s`, which contribute their
     left re-anchored under the steps of `s` they leave over, have the
     proper prefixes of s's code: at most len(s) exact dict hits. A left
-    side is coded on the first lookup that returns it. Each distinct side
-    is coded once, through a memo that is dropped once every left is
-    coded.
+    side is coded on the first lookup that returns it. Each side object
+    is coded once, through a memo keyed by identity (compress and
+    parse_grammar give equal sides as one object) that is dropped once
+    every left is coded; until then the grammar and `_left_sides` keep
+    every side alive.
 
     The one cache, for optimized runs, holds the coalesced predecessor
-    set and its node count per candidate set; a lookup's codes are kept
-    only inside it."""
+    set and its node count per candidate set, up to _PRE_SET_CODES codes
+    in all, oldest sets out first; a lookup's codes are kept only inside
+    it."""
 
     __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "_side_codes",
-                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "pre_sets")
+                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "pre_sets",
+                 "_pre_codes")
 
     def __init__(self, gg: GraphGrammar, capacity: int = _CAPACITY):
         derived = gg._derivation()
@@ -233,7 +242,7 @@ class _GrammarState:
             self.extensions[code] = tuple(self.codes[p] for p in occurrences.get(label, ()))
             self._nodes[code] = instances[label]
         pairs = gg.edge_pairs
-        self._side_codes: dict[GrammarPathSuffix, str] = {}
+        self._side_codes: dict[int, str] = {}
         rights = [self._side_code(right) for _, right in pairs]
         order = sorted(range(len(rights)), key=rights.__getitem__)
         self._rights = [rights[i] for i in order]
@@ -243,6 +252,7 @@ class _GrammarState:
         self._lefts: list[str | None] = [None] * len(order)
         self._uncoded = len(order)
         self.pre_sets: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
+        self._pre_codes = 0  # codes held in pre_sets, keys and values
 
     def encode(self, s: GrammarPathSuffix) -> str:
         """The code of `s`, which must fit the grammar."""
@@ -268,9 +278,9 @@ class _GrammarState:
         return sum([nodes[key[-width:]] for key in keys])
 
     def _side_code(self, s: GrammarPathSuffix) -> str:
-        code = self._side_codes.get(s)
+        code = self._side_codes.get(id(s))
         if code is None:
-            code = self._side_codes[s] = self.encode(s)
+            code = self._side_codes[id(s)] = self.encode(s)
         return code
 
     def _left_codes(self, start: int, end: int) -> list[str]:
@@ -317,7 +327,24 @@ class _GrammarState:
         if cached is None:
             pre = _coalesce(self, self.predecessors(keys))
             cached = self.pre_sets[keys] = (pre, self.node_count(pre))
+            self._pre_codes += len(keys) + len(pre)
+            if self._pre_codes > _PRE_SET_CODES:
+                self._evict_pre_sets()
         return cached
+
+    def _evict_pre_sets(self) -> None:
+        # drop the oldest sets until the rest fit under _PRE_SET_CODES
+        sets = self.pre_sets
+        held = self._pre_codes
+        oldest = []
+        for keys, (pre, _) in sets.items():
+            if held <= _PRE_SET_CODES:
+                break
+            held -= len(keys) + len(pre)
+            oldest.append(keys)
+        for keys in oldest:
+            del sets[keys]
+        self._pre_codes = held
 
 
 def _state(gg: GraphGrammar) -> _GrammarState:

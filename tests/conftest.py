@@ -128,3 +128,10 @@ def corrupt_line(text: str, data, kind: str | None = None,
     j = data.draw(st.integers(0, len(lines[i]) - 1))
     lines[i] = lines[i][:j] + data.draw(alphabet) + lines[i][j + 1:]
     return i + 1, "\n".join(lines) + "\n"
+
+
+def entry_lines(pm) -> str:
+    """A path map as `<path> <id>` lines in ascending id order: what
+    format_path_map writes for a map built from entries, and what it wrote
+    for every map before the table form."""
+    return "".join(f"{path} {nid}\n" for path, nid in pm)

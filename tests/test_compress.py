@@ -10,7 +10,7 @@ from gramsim import (GrammarPathSuffix, GraphGenParams, LabeledGraph,
                      load_graph, parse_grammar, save_graph, size_metrics)
 from gramsim.compress import WorkGraph, _allocate_names
 
-from .conftest import random_soup, seeded_case
+from .conftest import entry_lines, random_soup, seeded_case
 
 
 def assert_round_trip(graph):
@@ -363,14 +363,72 @@ def _graph_id(params):
 @pytest.mark.parametrize("params, digest", GOLDEN,
                          ids=[_graph_id(params) for params, _ in GOLDEN])
 def test_compress_output_is_pinned(params, digest):
+    # the map as `<path> <id>` lines, so the digest pins every entry
+    # whatever form format_path_map writes
     gg, pm = compress(gen_graph(GraphGenParams(*params)))
-    text = format_grammar(gg) + format_path_map(pm)
+    text = format_grammar(gg) + entry_lines(pm)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("params, digest", GOLDEN_DECOMPRESS,
                          ids=[_graph_id(params) for params, _ in GOLDEN_DECOMPRESS])
 def test_decompress_output_is_pinned(params, digest):
+    gg, _ = compress(gen_graph(GraphGenParams(*params)))
+    graph, pm = decompress(parse_grammar(format_grammar(gg)))
+    text = save_graph(graph) + entry_lines(pm)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the text the CLI stores for the same graphs: format_grammar +
+# format_path_map of compress's output, and save_graph + format_path_map
+# of decompress's output from the stored grammar; both maps are written
+# in table form
+GOLDEN_TABLE = [
+    ((40, 50, 0.0, 1.25, 2, 1),
+     "bfd7630fd609158473238a6217faeba5553b2c110aae53593e147166ab25b952"),
+    ((50, 40, 0.5, 2.0, 4, 1),
+     "bc1c1ee2edc68e204c134a37f434dd053d983ae4f453e8e639cbb551cc7b227f"),
+    ((16, 10, 0.5, 1.25, 2, 0),
+     "1114dfb5b678c4b3d83a9cac33e960b9893c44c34c8a05e169c13f13894c22bf"),
+    ((16, 10, 0.5, 1.25, 2, 1),
+     "1b853ec78807fa5a7b1d8cfaea6cd09e32abd4384b099d8ffcc95ba60a9e4339"),
+    ((16, 10, 0.5, 1.25, 2, 2),
+     "27e09e223dd9409b9093f6ab23d966f7dc92f5e6e8a3a97f51355e54ebaf0f83"),
+    ((40, 250, 0.0, 1.25, 2, 1),
+     "16c7c867354fedbbf91cfe7af1314fa3204d794cde5db9ed50d30e9e04243f50"),
+    ((50, 200, 0.5, 2.0, 4, 1),
+     "27586802931623270ccad510fc570039b2e27c47d78777fdce48315a87042b03"),
+]
+
+GOLDEN_DECOMPRESS_TABLE = [
+    ((40, 50, 0.0, 1.25, 2, 1),
+     "a565d9fb3d056d8ea5e3399ba319e21127a3e7488f5eebdbc1737ef1e012aa9b"),
+    ((50, 40, 0.5, 2.0, 4, 1),
+     "3d49cc3e84815e43a8d22016e9645409f8e88dc408ae7a934c014e2ff06c0b9b"),
+    ((16, 10, 0.5, 1.25, 2, 0),
+     "a6e6b4758e5e062f672bdbe443386296322ced05b72f5972a2b8210ce85d0e88"),
+    ((16, 10, 0.5, 1.25, 2, 1),
+     "b1d620ea251dca06ae49a8e43f7791d18471326847fc9f3f13db64724c449eab"),
+    ((16, 10, 0.5, 1.25, 2, 2),
+     "dcfde666ef67e790fb98fcc2dd7c95709bd2d11ce07c771c8c14f422062917e0"),
+    ((40, 250, 0.0, 1.25, 2, 1),
+     "19651ee61bffd86bd83a8cad9134a646548be0d87ec69ad6880f1497ed0bb2ba"),
+    ((50, 200, 0.5, 2.0, 4, 1),
+     "dadc7f8785d6d48297c98e24517c03d36df960db0e16a570d70bbbd6dcee0045"),
+]
+
+
+@pytest.mark.parametrize("params, digest", GOLDEN_TABLE,
+                         ids=[_graph_id(params) for params, _ in GOLDEN_TABLE])
+def test_compress_map_text_is_pinned(params, digest):
+    gg, pm = compress(gen_graph(GraphGenParams(*params)))
+    text = format_grammar(gg) + format_path_map(pm)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("params, digest", GOLDEN_DECOMPRESS_TABLE,
+                         ids=[_graph_id(params) for params, _ in GOLDEN_DECOMPRESS_TABLE])
+def test_decompress_map_text_is_pinned(params, digest):
     gg, _ = compress(gen_graph(GraphGenParams(*params)))
     graph, pm = decompress(parse_grammar(format_grammar(gg)))
     text = save_graph(graph) + format_path_map(pm)

@@ -14,7 +14,8 @@ from gramsim import (GrammarFormatError, GrammarPathSuffix, GrammarValidationErr
                      represented_node_union, simulate_on_graph, simulate_on_grammar)
 from gramsim.simulate import _state
 
-from .conftest import anchored_paths, corrupt_line, full_path_suffixes, seeded_case
+from .conftest import (anchored_paths, corrupt_line, entry_lines, full_path_suffixes,
+                       seeded_case)
 
 DATA = Path(__file__).parent / "data"
 
@@ -572,7 +573,12 @@ def _assert_acts_like_dict_form(pm, dict_form, full, misfits, grammars):
     fewer = PathMap(entries[1:])
     for unequal in (swapped, fewer):
         assert pm != unequal and unequal != pm
-    assert format_path_map(pm) == format_path_map(dict_form)
+    # the map's text reads back to an equal map that writes the same
+    # text; its entries as `<path> <id>` lines are the dict form's text
+    text = format_path_map(pm)
+    again = parse_path_map(text)
+    assert again == dict_form and again == pm and format_path_map(again) == text
+    assert entry_lines(pm) == format_path_map(dict_form)
     for path in full:
         assert path in pm
         assert pm.node_for(path) == dict_form.node_for(path)
@@ -589,14 +595,17 @@ def _assert_acts_like_dict_form(pm, dict_form, full, misfits, grammars):
 
 def _maps_with_grammars(case):
     # the compress map and the decompress map of one case, each with the
-    # grammar it was built for
+    # grammar it was built for, and each parsed back from its text, with
+    # the reloaded grammar
     if case == "fig1":
         graph = load_graph((DATA / "fig1.el").read_text())
     else:
         graph, _ = seeded_case(case, max_base=10)
     gg, compressed = compress(graph)
     reloaded = parse_grammar(format_grammar(gg))
-    return [(compressed, gg), (decompress(reloaded)[1], reloaded)]
+    decompressed = decompress(reloaded)[1]
+    parsed = [parse_path_map(format_path_map(pm)) for pm in (compressed, decompressed)]
+    return [(compressed, gg), (decompressed, reloaded)] + [(pm, reloaded) for pm in parsed]
 
 
 @pytest.mark.parametrize("case", [*range(12), "fig1"])
@@ -616,28 +625,132 @@ def test_canonical_map_acts_like_its_dict_form(case):
     assert key_errors == len(pairs)
 
 
+def _counting_constructions(monkeypatch):
+    # a list whose length counts the GrammarPathSuffix objects built
+    made = []
+    init = GrammarPathSuffix.__init__
+
+    def counting_init(self, steps, terminal):
+        made.append(None)
+        init(self, steps, terminal)
+
+    monkeypatch.setattr(GrammarPathSuffix, "__init__", counting_init)
+    return made
+
+
 def test_decompress_builds_no_path_per_node(monkeypatch):
     # perfbench's query-stream graph: 10,000 nodes, 33 edge pairs
     gg, _ = compress(gen_graph(GraphGenParams(40, 250, 0.0, 1.25, 2, 1)))
     gg = parse_grammar(format_grammar(gg))
-    made = 0
-    init = GrammarPathSuffix.__init__
-
-    def counting_init(self, steps, terminal):
-        nonlocal made
-        made += 1
-        init(self, steps, terminal)
-
-    monkeypatch.setattr(GrammarPathSuffix, "__init__", counting_init)
+    made = _counting_constructions(monkeypatch)
     graph, pm = decompress(gg)
     assert len(graph) == 10_000 and len(gg.edge_pairs) == 33
     # the edge pairs' sides are the only paths a grammar holds
-    assert made <= 2 * len(gg.edge_pairs)
+    assert len(made) <= 2 * len(gg.edge_pairs)
     full = [GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths()]
-    made = 0
+    made.clear()
     # lookups walk the asked path and build no path dict
     assert all(path in pm and pm.node_for(path) == i for i, path in enumerate(full, start=1))
-    assert made == 0
+    assert len(made) == 0
+
+
+def test_a_table_map_is_stored_reloaded_and_expanded_without_paths(monkeypatch):
+    # perfbench's query-stream graph: 10,000 nodes
+    graph = gen_graph(GraphGenParams(40, 250, 0.0, 1.25, 2, 1))
+    gg, pm = compress(graph)
+    reloaded = parse_grammar(format_grammar(gg))
+    bare_terminals = [bare(t) for t in sorted(reloaded.terminals)]
+    made = _counting_constructions(monkeypatch)
+    text = format_path_map(pm)
+    parsed = parse_path_map(text)
+    assert parsed == pm and format_path_map(parsed) == text
+    # the reloaded grammar has the map's rules, so its table is the map's
+    table = parsed._ids_by_canonical(reloaded)
+    assert table is parsed._table
+    nodes = represented_node_union(reloaded, bare_terminals, parsed)
+    assert len(made) == 0
+    monkeypatch.undo()
+    assert nodes == set(graph.node_ids)
+    assert len(text) < len(entry_lines(pm)) // 10
+    assert table == _reference_ids(pm, reloaded)
+
+
+_TABLE_MAP = "CANONICAL\nSTART S\nRULE A => 1:a 2:b\nRULE S => 1:A 2:c 3:A\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("CANONICAL\nRULE S => 1:a\n1\n", "line 3: missing START line"),
+    ("CANONICAL\nRULE S => 1:a\n", "line 2: missing START line"),
+    ("CANONICAL\nSTART S\nSTART S\nRULE S => 1:a\n1\n", "line 3: duplicate START line"),
+    ("CANONICAL\nSTART S T\nRULE S => 1:a\n1\n", "line 2: START expects one symbol"),
+    ("CANONICAL\nSTART S\nRULE S 1:a\n1\n", "line 3: expected 'RULE name => items'"),
+    ("CANONICAL\nSTART S\nRULE S => 1-a\n1\n", "line 3: malformed body item '1-a'"),
+    ("CANONICAL\nSTART S\nRULE S => 1:a 1:b\n1\n", "line 3: rule S: duplicate ordinal 1"),
+    ("CANONICAL\nSTART S\nRULE S => 1:a\nRULE S => 1:b\n1\n",
+     "line 4: rule S already defined on line 3"),
+    ("CANONICAL\nSTART T\nRULE S => 1:a\n1\n", "line 2: start symbol T has no rule"),
+    ("CANONICAL\nSTART S\nRULE S => 1:A\nRULE A => 1:a 2:S\n1\n",
+     "line 4: start symbol S appears in body of rule A"),
+    ("CANONICAL\nSTART S\nRULE S => 1:A\nRULE A => 1:B\nRULE B => 1:a 2:A\n1\n",
+     "line 4: recursive rules: A -> B -> A"),
+    (_TABLE_MAP + "1\n2\nx\n", "line 7: expected one node id"),
+    (_TABLE_MAP + "1\n2\n-3\n", "line 7: expected one node id"),
+    (_TABLE_MAP + "1\n2 3\n", "line 6: expected one node id"),
+    (_TABLE_MAP + "1\n0\n", "line 6: node id must be positive, got 0"),
+    (_TABLE_MAP + "1\n2\n00\n", "line 7: node id must be positive, got 0"),
+    (_TABLE_MAP + "1\n²\n", "line 6: non-ASCII characters"),
+    (_TABLE_MAP + "1\n٣\n", "line 6: non-ASCII characters"),
+    (_TABLE_MAP + "1\n2\n3\n2\n5\n", "line 8: duplicate node id 2"),
+    (_TABLE_MAP + "1\n2\n01\n", "line 7: duplicate node id 1"),
+    (_TABLE_MAP + "1\n2\n3\n4\n", "line 8: 4 node ids for the 5 nodes the rules derive"),
+    (_TABLE_MAP + "1\n2\n3\n# four\n\n", "line 7: 3 node ids for the 5 nodes "
+     "the rules derive"),
+    (_TABLE_MAP, "line 4: 0 node ids for the 5 nodes the rules derive"),
+    (_TABLE_MAP + "1\n2\n3\n4\n5\n6\n",
+     "line 10: more node ids than the 5 nodes the rules derive"),
+    (_TABLE_MAP + "1\n2\n3\n4\n5\nRULE B => 1:b\n", "line 10: expected one node id"),
+    # beyond int()'s digit limit, where one is set
+    (_TABLE_MAP + "1\n2\n3\n4\n" + "9" * 5000 + "\n", "line 9: "),
+])
+def test_a_hostile_table_map_fails_on_its_line(text, message):
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map(text)
+    assert str(err.value).startswith(message)
+
+
+def test_a_table_map_reads_comments_blanks_and_padded_ids():
+    plain = parse_path_map(_TABLE_MAP + "5\n4\n3\n2\n1\n")
+    assert type(plain) is not PathMap
+    assert [str(path) for path, _ in plain][:2] == ["S/3:A/2:b", "S/3:A/1:a"]
+    padded = ("# a map\n\n" + _TABLE_MAP.replace("\n", " \r\n") + "05\n\n4\n# three\n3\n"
+              "  2\t\n1")
+    again = parse_path_map(padded)
+    assert again == plain and format_path_map(again) == format_path_map(plain)
+    # an empty grammar derives no node, and its map holds no id
+    empty = parse_path_map("CANONICAL\nSTART S\nRULE S =>\n")
+    assert len(empty) == 0 and empty == PathMap([])
+    assert format_path_map(empty) == "CANONICAL\nSTART S\nRULE S =>\n"
+
+
+@pytest.mark.parametrize("case", [*range(12), "fig1"])
+def test_entry_text_parses_to_a_map_equal_to_its_table_text(case):
+    for pm, _ in _maps_with_grammars(case)[:2]:
+        old = parse_path_map(entry_lines(pm))
+        new = parse_path_map(format_path_map(pm))
+        assert type(old) is PathMap and type(new) is not PathMap
+        assert old == new and new == old and old == pm
+        assert list(old) == list(new)
+        assert format_path_map(old) == entry_lines(pm)
+
+
+def test_the_kept_entry_text_of_fig1_equals_its_table_text():
+    # the decompress map of fig1.gg as the CLI writes it now, and as it
+    # was written in `<path> <id>` lines before the table form
+    new = parse_path_map((DATA / "fig1.restored.map").read_text())
+    old = parse_path_map((DATA / "fig1.restored.entries.map").read_text())
+    assert type(old) is PathMap and type(new) is not PathMap
+    assert list(old) == list(new) and len(old) == 9
+    assert old == new and new == old
 
 
 # ---- parser fuzzing over compressor output ----
@@ -685,8 +798,9 @@ def test_documents_round_trip_and_parse_like_fresh_suffixes(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.data())
 def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
-    _, map_text = _compressed_documents(seed)
-    lineno, text = corrupt_line(map_text, data)
+    # a map in `<path> <id>` lines, the form parse_path_map still reads
+    _, pm = compress(seeded_case(seed, max_base=10)[0])
+    lineno, text = corrupt_line(entry_lines(pm), data)
     line = text.split("\n")[lineno - 1].strip()
     tokens = line.split()
     comment = line.startswith("#")
@@ -708,6 +822,37 @@ def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
         assert fresh is None
         assert pm.node_for(parse_suffix(tokens[0])) == int(tokens[1])
     assert parse_path_map(format_path_map(pm)) == pm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_a_corrupted_table_map_line_fails_or_reads_back(seed, data):
+    grammar_text, map_text = _compressed_documents(seed)
+    pm = parse_path_map(map_text)
+    # the full paths in canonical order, which the id lines follow
+    full = [GrammarPathSuffix(steps, terminal)
+            for steps, terminal in parse_grammar(grammar_text).iter_full_paths()]
+    lineno, text = corrupt_line(map_text, data)
+    first_id = map_text.count("\n") - len(pm) + 1
+    token = text.split("\n")[lineno - 1].strip()
+    try:
+        again = parse_path_map(text)
+    except GrammarFormatError as exc:
+        where, _, _ = str(exc).partition(": ")
+        assert where.startswith("line ") and 1 <= int(where[5:]) <= map_text.count("\n")
+        if lineno >= first_id and "duplicate" not in str(exc):
+            # an id line fails on itself, or, dropped as a comment or blank,
+            # leaves one id too few, reported at the end
+            assert where == f"line {lineno}" or (
+                token[:1] in ("", "#") and "node ids for the" in str(exc))
+        return
+    # accepted: a changed id is a new id at the same path, a changed
+    # header derives as many nodes, and the map reads back equal
+    if lineno >= first_id:
+        assert token.isdigit()
+        assert again.node_for(full[lineno - first_id]) == int(token)
+        assert len(again) == len(pm)
+    assert parse_path_map(format_path_map(again)) == again
 
 
 @settings(max_examples=60, deadline=None)

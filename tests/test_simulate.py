@@ -8,9 +8,10 @@ from collections.abc import Collection, Mapping
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gramsim import (GrammarPathSuffix, GrammarValidationError, GraphGrammar,
-                     PathMap, SimulationResult, SuffixSet, bare, compress, decompress,
-                     expand_by_node, expand_to_nodes, format_grammar, load_graph,
+from gramsim import (GrammarPathSuffix, GrammarValidationError, GraphGenParams,
+                     GraphGrammar, PathMap, PatternGenParams, SimulationResult, SuffixSet, bare, compress, decompress,
+                     expand_by_node, expand_to_nodes, format_grammar, gen_graph,
+                     gen_pattern, load_graph,
                      parse_grammar, parse_suffix, predecessors,
                      predecessor_suffixes, represented_node_union,
                      simulate_on_graph, simulate_on_grammar,
@@ -429,6 +430,31 @@ def test_each_distinct_edge_pair_side_is_coded_once(monkeypatch):
     assert len(calls) == len(set(sides))
     # with every left coded, the memo is dropped
     assert state._side_codes is None
+
+
+def test_pre_sets_stay_under_their_limit_and_answers_hold(monkeypatch):
+    # a limit a few sets fill, so that a long stream on one grammar evicts
+    limit = 400
+    monkeypatch.setattr(simulate, "_PRE_SET_CODES", limit)
+    graph = gen_graph(GraphGenParams(16, 10, 0.5, 1.25, 2, seed=1))
+    gg, pm = compress(graph)
+    state = _state(gg)
+    evictions = 0
+    for seed in range(60):
+        pattern = gen_pattern(PatternGenParams(nodes=4, edges=5, seed=seed),
+                              graph.label_set())
+        kept = list(state.pre_sets)
+        result = simulate_on_grammar(gg, pattern, optimized=True)
+        assert expand_by_node(gg, result, pm) == simulate_on_graph(graph, pattern)
+        held = sum(len(keys) + len(pre) for keys, (pre, _) in state.pre_sets.items())
+        assert held == state._pre_codes <= limit
+        evictions += not set(kept) <= set(state.pre_sets)
+    assert evictions >= 5
+    # the oldest set goes first: one code over the limit drops it alone
+    order = list(state.pre_sets)
+    monkeypatch.setattr(simulate, "_PRE_SET_CODES", state._pre_codes - 1)
+    state._evict_pre_sets()
+    assert list(state.pre_sets) == order[1:]
 
 
 def test_expansion_builds_no_simulation_state(fig1_grammar, cd_pattern):
