@@ -817,7 +817,7 @@ def parse_path_map(text: str) -> PathMap:
     lines = _lines(text, GrammarFormatError)
     first = next(lines, None)
     if first is not None and first[1] == [_TABLE_MARKER]:
-        return _parse_table_map(text, first[0], lines)
+        return _parse_table_map(first[0], lines)
     step_memo: dict[str, tuple[str, int]] = {}
     terminal_memo: dict[str, str] = {}
     lineno = 0
@@ -843,8 +843,7 @@ def parse_path_map(text: str) -> PathMap:
         raise GrammarFormatError(f"line {lineno}: {exc}") from exc
 
 
-def _parse_table_map(text: str, lineno: int,
-                     lines: Iterator[tuple[int, list[str]]]) -> PathMap:
+def _parse_table_map(lineno: int, lines: Iterator[tuple[int, list[str]]]) -> PathMap:
     # parse_path_map's table form; `lines` stands after the marker line,
     # which is line `lineno`
     start: str | None = None
@@ -879,28 +878,8 @@ def _parse_table_map(text: str, lineno: int,
     if first_id is None:
         ids = _table_ids((), count, lineno)
     else:
-        ids = _plain_ids(text.split("\n")[first_id[0] - 1:], count)
-        if ids is None:
-            ids = _table_ids(chain([first_id], lines), count, lineno)
+        ids = _table_ids(chain([first_id], lines), count, lineno)
     return _CanonicalPathMap(rules, start, offsets, [None, *ids])
-
-
-def _plain_ids(rows: list[str], count: int) -> list[int] | None:
-    # the ids of the rows to the end of a table-form map when all of them
-    # are good and each is bare ASCII digits, the form format_path_map
-    # writes; None sends any other rows through _table_ids
-    if rows[-1] == "":
-        rows.pop()  # after the final newline
-    digits = "".join(rows)
-    if len(rows) != count or "" in rows or not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        ids = list(map(int, rows))
-    except ValueError:
-        return None  # beyond int()'s digit limit
-    if 0 in ids or len(set(ids)) != count:
-        return None
-    return ids
 
 
 def _table_ids(lines: Iterable[tuple[int, list[str]]], count: int, lineno: int) -> list[int]:

@@ -41,15 +41,21 @@ class LabeledGraph:
                 raise ValueError(f"invalid label {label!r} for node {nid}")
             labels[nid] = label
         edge_set = set()
-        for src, dst in edges:
+        for edge in edges:
+            src, dst = edge
             # True and 1.0 find node 1 in labels, but would be stored as
             # they are
             if src not in labels or isinstance(src, bool) or not isinstance(src, int):
                 raise ValueError(f"edge ({src}, {dst}) references undeclared node {src!r}")
             if dst not in labels or isinstance(dst, bool) or not isinstance(dst, int):
                 raise ValueError(f"edge ({src}, {dst}) references undeclared node {dst!r}")
-            edge_set.add((src, dst))
-        self._labels = dict(sorted(labels.items()))
+            # a given pair is stored as it is, so that a graph built from
+            # another's edges or from decompress makes no tuple per edge
+            edge_set.add(edge if type(edge) is tuple else (src, dst))
+        ids = list(labels)
+        # ids given in ascending order, as decompress and most edge lists
+        # give them, keep their dict without a sorted copy
+        self._labels = labels if ids == sorted(ids) else dict(sorted(labels.items()))
         self._edges = frozenset(edge_set)
         self._pred: dict[int, frozenset[int]] | None = None
 

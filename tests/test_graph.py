@@ -119,6 +119,19 @@ def test_equality_ignores_construction_order():
     assert g1 != LabeledGraph([(1, "a"), (2, "b")], {(1, 2)})
 
 
+def test_nodes_ascend_and_edges_are_plain_tuples_however_given():
+    edge = (3, 1)
+    g = LabeledGraph([(3, "c"), (1, "a"), (2, "b")], [[1, 2], edge])
+    assert g.nodes == ((1, "a"), (2, "b"), (3, "c"))
+    assert g.node_ids == (1, 2, 3)
+    assert g.edges == {(1, 2), (3, 1)}
+    assert all(type(e) is tuple for e in g.edges)
+    # a tuple given as an edge is kept, not copied
+    assert any(e is edge for e in g.edges)
+    g2 = LabeledGraph(g.nodes, g.edges)
+    assert g2 == g and g2.nodes == g.nodes
+
+
 def test_isomorphic_under_map_identity(fig1_graph):
     ident = {n: n for n in fig1_graph.node_ids}
     assert graphs_isomorphic_under_map(fig1_graph, fig1_graph, ident)
