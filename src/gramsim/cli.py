@@ -54,6 +54,16 @@ def _read_text(path: str) -> str:
         raise _DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _parse_file(path: str, parse):
+    """`parse` applied to the text of the file at `path`; an error in the
+    text names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise _DataError(f"{path}: {exc}") from exc
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -66,7 +76,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    graph = load_graph(_read_text(args.input))
+    graph = _parse_file(args.input, load_graph)
     grammar, path_map = compress(graph, min_count=args.min_count)
     _write_text(args.output, format_grammar(grammar))
     map_path = args.map if args.map is not None else args.output + ".map"
@@ -75,7 +85,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
-    grammar = parse_grammar(_read_text(args.input))
+    grammar = _parse_file(args.input, parse_grammar)
     graph, path_map = decompress(grammar)
     _write_text(args.output, save_graph(graph))
     if args.map is not None:
@@ -84,18 +94,18 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _simulate_lines(args: argparse.Namespace) -> list[str]:
-    pattern = load_graph(_read_text(args.pattern))
+    pattern = _parse_file(args.pattern, load_graph)
     if args.graph is not None:
         if args.optimized:
             raise _UsageError("--optimized applies to --grammar only")
-        result = simulate_on_graph(load_graph(_read_text(args.graph)), pattern)
+        result = simulate_on_graph(_parse_file(args.graph, load_graph), pattern)
         return [f"{u} {v}" for u in sorted(result) for v in sorted(result[u])]
-    grammar = parse_grammar(_read_text(args.grammar))
+    grammar = _parse_file(args.grammar, parse_grammar)
     result = simulate_on_grammar(grammar, pattern, optimized=args.optimized)
     if args.expand:
         # the sidecar compress writes maps paths back to the input's ids
         map_path = args.grammar + ".map"
-        path_map = (parse_path_map(_read_text(map_path))
+        path_map = (_parse_file(map_path, parse_path_map)
                     if os.path.exists(map_path) else None)
         try:
             by_node = expand_by_node(grammar, result, path_map)
@@ -129,7 +139,7 @@ def _cmd_gen_pattern(args: argparse.Namespace) -> int:
             raise _DataError(f"invalid alphabet labels: {', '.join(bad)}")
         alphabet = frozenset(labels)
     else:
-        alphabet = load_graph(_read_text(args.from_graph)).label_set()
+        alphabet = _parse_file(args.from_graph, load_graph).label_set()
     pattern = gen_pattern(
         PatternGenParams(nodes=args.nodes, edges=args.edges, seed=args.seed), alphabet)
     text = save_graph(pattern)

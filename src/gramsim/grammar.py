@@ -363,70 +363,100 @@ def _check_fit(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix]) -> None:
             raise ValueError(err)
 
 
-def _checked_step(step: tuple[str, int]) -> tuple[str, int]:
-    if (not isinstance(step, tuple) or len(step) != 2
-            or not isinstance(step[0], str) or not valid_label(step[0])
-            or isinstance(step[1], bool) or not isinstance(step[1], int) or step[1] < 1):
-        raise ValueError(f"invalid step {step!r}: expected (rule name, positive int ordinal)")
-    return step
-
-
 class PathMap:
-    """Bijection between full grammar paths and node ids.
+    """Bijection between the full paths of one grammar and node ids.
 
-    A map built from entries, or parsed from `<path> <id>` text, holds
-    them in one dict, path to id. The constructor is the only code that
-    checks entries: each path a GrammarPathSuffix whose steps are a rule
-    name and a positive int ordinal (not a bool) and whose terminal is a
-    label, each id a positive int (not a bool), no path or id twice, as
-    the `<path> <id>` format needs. parse_path_map's paths come from the
-    suffix parser, which has checked their steps and terminals, so it
-    passes `_paths_checked` and pays only for the rest.
+    A map holds that grammar's rules and start symbol, which name its
+    paths, and its ids in the canonical (depth-first) order of those
+    paths: `_table[c]` is the id of the full path with canonical id c. A
+    path is found by the fit-and-offset walk that gives its canonical id,
+    so no path is built until the map is iterated. The rules are not
+    recursive, and the start symbol has a rule and is in no body.
 
-    A map that compress or decompress returns (built by `_canonical`),
-    or that parse_path_map reads from the table format that
-    format_path_map writes for such a map, holds no paths: only its ids,
-    in the canonical order of a grammar's full paths, and that grammar's
-    rules and start symbol, which name them. Lookups walk the asked path;
-    iteration and equality with a map of other rules build the paths
-    when asked."""
+    `PathMap(entries)` reads (path, id) entries: every full path of one
+    grammar, each given once, each id a distinct positive int (not a
+    bool). The rules are read from the paths, callee first: each step
+    names a rule and an ordinal, labeled with the next step's rule or,
+    for the last step, with the path's terminal. Rule names, ordinals and
+    labels are checked by Rule. The entries are checked one at a time,
+    and the map as a whole once the last is read.
 
-    __slots__ = ("_by_path", "_dense")
+    Raises:
+        ValueError: on a path that is not a GrammarPathSuffix or has no
+            steps, an id that is not a positive int, a repeated path or
+            id, paths anchored at different rules, a rule ordinal with two
+            labels, a symbol that is both a terminal and a rule, an invalid
+            rule, no entries, recursive rules, or a full path of the rules
+            that no entry gives (the first such path is named).
+    """
 
-    def __init__(self, entries: Iterable[tuple[GrammarPathSuffix, int]], *,
-                 _paths_checked: bool = False):
+    __slots__ = ("_rules", "_start", "_offsets", "_table", "_dense")
+
+    def __init__(self, entries: Iterable[tuple[GrammarPathSuffix, int]]):
         by_path: dict[GrammarPathSuffix, int] = {}
         ids: set[int] = set()
-        # Each step and terminal that passed, mapped to itself, so that one
-        # shared by many paths is checked once. A hit must be the object
-        # that passed, since an equal one may print otherwise:
-        # ("S", True) == ("S", 1).
-        passed: dict = {}
-        get = passed.get
+        bodies: dict[str, dict[int, str]] = {}
+        terminals: set[str] = set()
+        start = None
         for path, nid in entries:
             if not isinstance(path, GrammarPathSuffix):
                 raise ValueError(f"path must be a GrammarPathSuffix, got {path!r}")
-            if not _paths_checked:
-                steps, terminal = path.steps, path.terminal
-                if not isinstance(steps, tuple):
-                    raise ValueError(f"path steps must be a tuple, got {steps!r}")
-                for step in steps:
-                    if get(step) is not step:
-                        passed[step] = _checked_step(step)
-                if get(terminal) is not terminal:
-                    if not isinstance(terminal, str) or not valid_label(terminal):
-                        raise ValueError(f"invalid terminal {terminal!r}")
-                    passed[terminal] = terminal
+            steps, terminal = path.steps, path.terminal
+            if not steps:
+                raise ValueError(f"path {path} has no steps")
             if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:
-                raise ValueError(f"node id must be positive, got {nid!r}")
+                raise ValueError(f"node id must be a positive int, got {nid!r}")
             if path in by_path:
                 raise ValueError(f"duplicate path {path}")
             if nid in ids:
                 raise ValueError(f"duplicate node id {nid}")
+            if start is None:
+                start = steps[0][0]
+            elif steps[0][0] != start:
+                raise ValueError(f"path {path} is anchored at {steps[0][0]}, not {start}")
+            labels = [name for name, _ in steps[1:]] + [terminal]
+            for (name, ordinal), label in zip(steps, labels):
+                had = bodies.setdefault(name, {}).setdefault(ordinal, label)
+                if had != label:
+                    raise ValueError(f"path {path}: ordinal {ordinal} of rule {name} "
+                                     f"is labeled both {had} and {label}")
+                if name in terminals:
+                    raise ValueError(f"path {path}: {name} is both a terminal and a rule")
+            if terminal in bodies:
+                raise ValueError(f"path {path}: {terminal} is both a terminal and a rule")
+            terminals.add(terminal)
             by_path[path] = nid
             ids.add(nid)
-        self._by_path = by_path
+        if start is None:
+            raise ValueError("no entries")
+        rules = {name: Rule(name, tuple(body.items())) for name, body in bodies.items()}
+        order, cycle = _walk_calls(rules)
+        if cycle:
+            raise ValueError("recursive rules: " + " -> ".join(cycle))
+        rules = {name: rules[name] for name in order}
+        _, leaf_counts, offsets = _position_tables(rules, order)
+        count = leaf_counts[start]
+        # the rules were read from the paths, so each path fits them, and
+        # distinct full paths have distinct canonical ids
+        table: list[int | None] = [None] * (count + 1)
+        for path, nid in by_path.items():
+            table[_fit_shift(rules, offsets, path)] = nid
+        if len(by_path) < count:
+            steps, terminal = next(islice(_full_paths(rules, start),
+                                          table.index(None, 1) - 1, None))
+            raise ValueError(f"{len(by_path)} paths for the {count} full paths the rules "
+                             f"derive; missing {GrammarPathSuffix(steps, terminal)}")
+        self._rules, self._start, self._offsets, self._table = rules, start, offsets, table
         self._dense: tuple[weakref.ref, list[int | None]] | None = None
+
+    @classmethod
+    def _from_table(cls, rules: Mapping[str, Rule], start: str,
+                    offsets: dict[tuple[str, int], int], table: list[int | None]) -> PathMap:
+        # a map of the given parts, unchecked
+        pm = cls.__new__(cls)
+        pm._rules, pm._start, pm._offsets, pm._table = rules, start, offsets, table
+        pm._dense = None
+        return pm
 
     @classmethod
     def _canonical(cls, gg: GraphGrammar, ids: Sequence[int]) -> PathMap:
@@ -436,86 +466,9 @@ class PathMap:
         start symbol and derivation offsets, but not gg itself. The
         entries are not checked: gg must be valid, and `ids` distinct
         positive ints, one per node of gg."""
-        pm = _CanonicalPathMap(gg._rules, gg.start, gg._derivation().offsets, [None, *ids])
+        pm = cls._from_table(gg._rules, gg.start, gg._derivation().offsets, [None, *ids])
         pm._dense = (weakref.ref(gg), pm._table)
         return pm
-
-    def _pairs(self) -> Iterable[tuple[GrammarPathSuffix, int]]:
-        """The (path, id) entries in no set order."""
-        return self._by_path.items()
-
-    def node_for(self, path: GrammarPathSuffix) -> int:
-        return self._by_path[path]
-
-    def _ids_by_canonical(self, gg: GraphGrammar) -> list[int | None]:
-        # Dense canonical id -> this map's id table over gg's full paths,
-        # None where the map lacks the path; gg must be valid. Kept for the
-        # grammar last asked about, checked by identity, through a weak
-        # reference so the map never keeps a grammar alive.
-        dense = self._dense
-        if dense is not None and dense[0]() is gg:
-            return dense[1]
-        table = self._table_for(gg)
-        self._dense = (weakref.ref(gg), table)
-        return table
-
-    def _table_for(self, gg: GraphGrammar) -> list[int | None]:
-        # The map's own entries fill the table: an entry that is a full path
-        # of gg, anchored at its start rule and fitting it, lands at its
-        # canonical id; any other entry names no node of gg. One walk per
-        # entry checks the fit and sums the offsets: a separate fit check
-        # and offset sum per entry made a cold first answer about 9% slower
-        # on a grammar whose paths are 11 steps deep.
-        start = gg.start
-        shift = gg._canonical_shift
-        offsets = gg._derivation().offsets
-        table: list[int | None] = [None] * (gg.node_count() + 1)
-        for path, nid in self._pairs():
-            steps = path.steps
-            if steps and steps[0][0] == start:
-                cid = shift(path, offsets)
-                if cid is not None:
-                    table[cid] = nid
-        return table
-
-    def __len__(self) -> int:
-        return len(self._by_path)
-
-    def __iter__(self) -> Iterator[tuple[GrammarPathSuffix, int]]:
-        """The (path, id) entries in ascending id order."""
-        return iter(sorted(self._pairs(), key=itemgetter(1)))
-
-    def __contains__(self, path: GrammarPathSuffix) -> bool:
-        return path in self._by_path
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathMap):
-            return NotImplemented
-        # ids are distinct, so equal maps list equal entries in id order
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"PathMap({len(self)} paths)"
-
-
-class _CanonicalPathMap(PathMap):
-    """A PathMap over the full paths of the grammar its rules and start
-    symbol make, held as its id table.
-
-    `_table[c]` is the id of the full path with canonical id c. A path is
-    found by the fit-and-offset walk that gives its canonical id, so no
-    path is built until the map is iterated. The rules must not be
-    recursive and the start symbol must have a rule and be in no body."""
-
-    __slots__ = ("_table", "_rules", "_start", "_offsets")
-
-    def __init__(self, rules: Mapping[str, Rule], start: str,
-                 offsets: dict[tuple[str, int], int], table: list[int | None]):
-        self._table = table
-        self._rules = rules
-        self._start = start
-        self._offsets = offsets
-        self._dense = None
 
     def _same_paths(self, rules: Mapping[str, Rule], start: str) -> bool:
         # equal rules and start symbols derive the same full paths in the
@@ -543,29 +496,66 @@ class _CanonicalPathMap(PathMap):
                  for steps, terminal in _full_paths(self._rules, self._start))
         return zip(paths, islice(self._table, 1, None))
 
-    def _table_for(self, gg: GraphGrammar) -> list[int | None]:
-        # a grammar of the map's own rules, such as the reloaded grammar
-        # beside a parsed map, reads the map's table as it is
-        if self._same_paths(gg._rules, gg.start):
-            return self._table
-        return super()._table_for(gg)
-
     def node_for(self, path: GrammarPathSuffix) -> int:
         shift = self._shift(path)
         if shift is None:
             raise KeyError(path)
         return self._table[shift]
 
+    def _ids_by_canonical(self, gg: GraphGrammar) -> list[int | None]:
+        # Dense canonical id -> this map's id table over gg's full paths,
+        # None where the map lacks the path; gg must be valid. Kept for the
+        # grammar last asked about, checked by identity, through a weak
+        # reference so the map never keeps a grammar alive.
+        dense = self._dense
+        if dense is not None and dense[0]() is gg:
+            return dense[1]
+        table = self._table_for(gg)
+        self._dense = (weakref.ref(gg), table)
+        return table
+
+    def _table_for(self, gg: GraphGrammar) -> list[int | None]:
+        # A grammar of the map's own rules, such as the reloaded grammar
+        # beside a parsed map, reads the map's table as it is. For any
+        # other, the map's paths fill the table: a path that is a full path
+        # of gg, anchored at its start rule and fitting it, lands at its
+        # canonical id; any other path names no node of gg. One walk per
+        # path checks the fit and sums the offsets: a separate fit check
+        # and offset sum per path made a cold first answer about 9% slower
+        # on a grammar whose paths are 11 steps deep.
+        if self._same_paths(gg._rules, gg.start):
+            return self._table
+        start = gg.start
+        shift = gg._canonical_shift
+        offsets = gg._derivation().offsets
+        table: list[int | None] = [None] * (gg.node_count() + 1)
+        for path, nid in self._pairs():
+            if path.steps[0][0] == start:
+                cid = shift(path, offsets)
+                if cid is not None:
+                    table[cid] = nid
+        return table
+
     def __len__(self) -> int:
         return len(self._table) - 1
+
+    def __iter__(self) -> Iterator[tuple[GrammarPathSuffix, int]]:
+        """The (path, id) entries in ascending id order."""
+        return iter(sorted(self._pairs(), key=itemgetter(1)))
 
     def __contains__(self, path: GrammarPathSuffix) -> bool:
         return self._shift(path) is not None
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _CanonicalPathMap) and self._same_paths(other._rules, other._start):
+        if not isinstance(other, PathMap):
+            return NotImplemented
+        if self._same_paths(other._rules, other._start):
             return self._table == other._table
-        return super().__eq__(other)
+        # ids are distinct, so equal maps list equal entries in id order
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"PathMap({len(self)} paths)"
 
 
 def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffix],
@@ -671,7 +661,8 @@ def _start_line(lineno: int, tokens: list[str], start: str | None) -> str:
 
 def _rule_line(lineno: int, tokens: list[str], rule_lines: dict[str, int]) -> Rule:
     """The rule of a RULE line, noted in `rule_lines` (rule name -> line),
-    which must not hold it yet."""
+    which must not hold it yet. The line gives each body item's shape;
+    Rule checks the name, ordinals and labels."""
     if len(tokens) < 3 or tokens[2] != "=>":
         raise GrammarFormatError(f"line {lineno}: expected 'RULE name => items'")
     name = tokens[1]
@@ -681,11 +672,12 @@ def _rule_line(lineno: int, tokens: list[str], rule_lines: dict[str, int]) -> Ru
     body = []
     for item in tokens[3:]:
         ordinal, colon, label = item.partition(":")
-        if not colon or not ordinal.isdigit() or int(ordinal) < 1 or not valid_label(label):
+        if not colon or not ordinal.isdigit():
             raise GrammarFormatError(f"line {lineno}: malformed body item {item!r}")
-        body.append((int(ordinal), label))
+        body.append((ordinal, label))
     try:
-        rule = Rule(name, tuple(body))
+        # int() in here, as it fails beyond its digit limit
+        rule = Rule(name, tuple((int(ordinal), label) for ordinal, label in body))
     except ValueError as exc:
         raise GrammarFormatError(f"line {lineno}: {exc}") from exc
     rule_lines[name] = lineno
@@ -778,41 +770,37 @@ _TABLE_MARKER = "CANONICAL"
 def format_path_map(pm: PathMap) -> str:
     """Serialize a path map; parse_path_map reads the text back.
 
-    A map from compress or decompress, or one parsed from such text, is
-    written in table form: a `CANONICAL` line, the `START` line and the
-    `RULE` lines of the grammar whose full paths it maps, as
+    The map is written in table form: a `CANONICAL` line, the `START`
+    line and the `RULE` lines of the grammar whose full paths it maps, as
     format_grammar writes them, and then one id per line, in the
-    canonical (depth-first) order of those full paths. No path is built.
-    Any other map is written as `<path> <id>` lines in ascending id
-    order."""
-    if isinstance(pm, _CanonicalPathMap):
-        lines = [_TABLE_MARKER, f"START {pm._start}"]
-        lines += map(_rule_text, pm._rules.values())
-        lines += map(str, islice(pm._table, 1, None))
-        return "\n".join(lines) + "\n"
-    return "".join(f"{path} {nid}\n" for path, nid in pm)
+    canonical (depth-first) order of those full paths. No path is built."""
+    lines = [_TABLE_MARKER, f"START {pm._start}"]
+    lines += map(_rule_text, pm._rules.values())
+    lines += map(str, islice(pm._table, 1, None))
+    return "\n".join(lines) + "\n"
 
 
 def parse_path_map(text: str) -> PathMap:
-    """Parse the output of format_path_map, in either form.
+    """Parse a path map in table form, as format_path_map writes it, or
+    in the older `<path> <id>` form.
 
     `#` comments and blank lines are skipped. A document whose first line
     is `CANONICAL` is in table form: the START and RULE lines, read as
     parse_grammar reads them, then one positive id per line, as many as
     the rules derive nodes from the start symbol, in the canonical order
     of their full paths. The map holds the rules, the start symbol and the
-    ids, and builds no path. Any other document is `<path> <id>` lines:
-    each path a full grammar path in suffix syntax and each id a positive
-    integer, held in a dict. Whether the paths fit a grammar is not
-    checked; PathMap checks the entries.
+    ids, and builds no path. Any other document is `<path> <id>` lines,
+    each path in suffix syntax and each id a positive integer, which
+    PathMap(entries) reads: they must list every full path of one grammar.
 
     Raises:
-        GrammarFormatError: with the line number, on a malformed line, a
-            malformed path, an id below 1, or a path or id already seen;
-            in table form also on a missing or repeated START line, a
+        GrammarFormatError: with the line number, on a malformed line or
+            path, or an entry PathMap rejects; an error that only the
+            whole list shows, such as a missing path, names the last line.
+            In table form also on a missing or repeated START line, a
             malformed or repeated RULE line, a start symbol with no rule or
-            in a body, recursive rules, or an id count other than the
-            number of nodes the rules derive.
+            in a body, recursive rules, an id below 1 or seen before, or an
+            id count other than the number of nodes the rules derive.
     """
     lines = _lines(text, GrammarFormatError)
     first = next(lines, None)
@@ -834,13 +822,13 @@ def parse_path_map(text: str) -> PathMap:
             yield path, int(tokens[1])
 
     try:
-        return PathMap(entries(), _paths_checked=True)
+        return PathMap(entries())
     except GrammarFormatError:
         raise
     except ValueError as exc:
         # PathMap checks each entry before it asks for the next, so the
         # line read last holds the entry it rejected
-        raise GrammarFormatError(f"line {lineno}: {exc}") from exc
+        raise GrammarFormatError(f"line {lineno}: {exc}" if lineno else str(exc)) from exc
 
 
 def _parse_table_map(lineno: int, lines: Iterator[tuple[int, list[str]]]) -> PathMap:
@@ -879,7 +867,7 @@ def _parse_table_map(lineno: int, lines: Iterator[tuple[int, list[str]]]) -> Pat
         ids = _table_ids((), count, lineno)
     else:
         ids = _table_ids(chain([first_id], lines), count, lineno)
-    return _CanonicalPathMap(rules, start, offsets, [None, *ids])
+    return PathMap._from_table(rules, start, offsets, [None, *ids])
 
 
 def _table_ids(lines: Iterable[tuple[int, list[str]]], count: int, lineno: int) -> list[int]:

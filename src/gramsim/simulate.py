@@ -508,9 +508,9 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
     it. Each node's suffixes go through represented_node_union, so cost
     is linear in the matched nodes: the grammar's derivation tables and
     each bare terminal's ids are built on first use and kept, and no
-    simulation state is built. A path map from compress or decompress
-    comes with its table for its own grammar object; a parsed map, or a
-    map used with another grammar object, builds that table on first use.
+    simulation state is built. A path map holds its ids as a table over
+    the full paths of its own rules: a grammar of those rules reads it as
+    it is, and a grammar of other rules builds its table on first use.
 
     Raises:
         ValueError: if a suffix of the result does not fit `gg`.

@@ -80,6 +80,21 @@ def anchored_paths(gg, s: GrammarPathSuffix) -> list[GrammarPathSuffix]:
     return [path for path in paths if is_suffix_of(s, path)]
 
 
+def full_paths(gg) -> list[GrammarPathSuffix]:
+    """The full paths of `gg` in depth-first (canonical) order."""
+    return [GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths()]
+
+
+def dict_expansion(gg, suffixes, ref: dict) -> frozenset[int] | tuple:
+    """Expansion through the plain dict `ref` (full path -> id): the ids
+    of the full paths of `gg` that end with a suffix of `suffixes`, or, as
+    the args of the KeyError expansion raises, the first of those paths in
+    depth-first order that `ref` lacks."""
+    paths = [path for s in suffixes for path in anchored_paths(gg, s)]
+    missing = [path for path in full_paths(gg) if path in paths and path not in ref]
+    return (missing[0],) if missing else frozenset(ref[path] for path in paths)
+
+
 def random_soup(rng: random.Random, max_nodes: int = 12,
                 labels: tuple[str, ...] = ("a", "b", "c")) -> LabeledGraph:
     """A uniform random labeled digraph, self-loops included; covers shapes
@@ -131,7 +146,6 @@ def corrupt_line(text: str, data, kind: str | None = None,
 
 
 def entry_lines(pm) -> str:
-    """A path map as `<path> <id>` lines in ascending id order: what
-    format_path_map writes for a map built from entries, and what it wrote
-    for every map before the table form."""
+    """A path map as `<path> <id>` lines in ascending id order: the older
+    text form, which parse_path_map still reads."""
     return "".join(f"{path} {nid}\n" for path, nid in pm)

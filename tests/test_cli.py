@@ -8,6 +8,7 @@ from gramsim import (graphs_isomorphic_under_map, load_graph, parse_path_map)
 from gramsim.cli import main
 
 from .conftest import entry_lines
+from .test_grammar import OTHER_S
 
 DATA = Path(__file__).parent / "data"
 FIG1_EL = str(DATA / "fig1.el")
@@ -79,22 +80,69 @@ def test_simulate_expand_prints_the_compressed_graphs_ids(tmp_path, capsys):
         assert (code, out) == (0, "1 10\n1 30\n2 20\n2 40\n")
 
 
-def test_simulate_expand_with_incomplete_map_is_a_data_error(tmp_path, capsys):
+def _fig1_with_sidecar(tmp_path, capsys):
+    # fig1.gg, and beside it the map of its expansion as decompress writes it
     gg_path = tmp_path / "fig1.gg"
     gg_path.write_text(Path(FIG1_GG).read_text())
     code, out, err = run(capsys, "decompress", "-i", str(gg_path),
                          "--map", str(tmp_path / "fig1.gg.map"))
     assert code == 0
+    return gg_path, tmp_path / "fig1.gg.map"
+
+
+def test_simulate_expand_with_incomplete_map_fails_at_parse(tmp_path, capsys):
+    gg_path, map_path = _fig1_with_sidecar(tmp_path, capsys)
     # the map less one entry, written as `<path> <id>` lines, which
-    # parse_path_map still reads
-    map_path = tmp_path / "fig1.gg.map"
+    # parse_path_map still reads when they list every full path
     lines = entry_lines(parse_path_map(map_path.read_text())).splitlines()
     map_path.write_text("\n".join(line for line in lines
                                    if line != "S/3:CDCD/1:CD/1:c 6") + "\n")
     code, out, err = run(capsys, "simulate", "--grammar", str(gg_path),
                          "--pattern", CD_EL, "--expand")
     assert code == 2 and out == ""
-    assert "fig1.gg.map has no node for path S/3:CDCD/1:CD/1:c" in err
+    assert err == (f"gramsim: error: {map_path}: line 8: 8 paths for the 9 full paths "
+                   "the rules derive; missing S/3:CDCD/1:CD/1:c\n")
+
+
+def test_simulate_expand_with_another_grammars_map_is_a_data_error(tmp_path, capsys):
+    gg_path, map_path = _fig1_with_sidecar(tmp_path, capsys)
+    # a complete map of fig1 with b moved to the front of S, which lacks
+    # fig1's S/1 paths
+    other = tmp_path / "other.gg"
+    other.write_text(OTHER_S)
+    assert run(capsys, "decompress", "-i", str(other), "--map", str(map_path))[0] == 0
+    pattern = tmp_path / "c.el"
+    pattern.write_text("1 c\n")
+    code, out, err = run(capsys, "simulate", "--grammar", str(gg_path),
+                         "--pattern", str(pattern), "--expand")
+    assert code == 2 and out == ""
+    assert f"{map_path} has no node for path S/1:CDCD/1:CD/1:c" in err
+
+
+def test_a_parse_error_names_its_file(tmp_path, capsys):
+    gg_path, map_path = _fig1_with_sidecar(tmp_path, capsys)
+    bad_map = map_path.read_text().replace("\n2\n", "\n1\n")
+    bad_el = tmp_path / "bad.el"
+    bad_el.write_text("1 c\n1 d\n")
+    bad_gg = tmp_path / "bad.gg"
+    bad_gg.write_text("TERMINALS c d\nSTART S\nRULE S => 1-c\n")
+    map_path.write_text(bad_map)
+    cases = [
+        (("simulate", "--grammar", str(gg_path), "--pattern", CD_EL, "--expand"),
+         f"{map_path}: line 7: duplicate node id 1"),
+        (("simulate", "--grammar", str(bad_gg), "--pattern", CD_EL),
+         f"{bad_gg}: line 3: malformed body item '1-c'"),
+        (("decompress", "-i", str(bad_gg)), f"{bad_gg}: line 3: malformed body item '1-c'"),
+        (("simulate", "--grammar", FIG1_GG, "--pattern", str(bad_el)), f"{bad_el}: line 2: "),
+        (("simulate", "--graph", str(bad_el), "--pattern", CD_EL), f"{bad_el}: line 2: "),
+        (("compress", "-i", str(bad_el), "-o", str(tmp_path / "x.gg")), f"{bad_el}: line 2: "),
+        (("gen-pattern", "--nodes", "2", "--edges", "1", "--seed", "1",
+          "--from-graph", str(bad_el)), f"{bad_el}: line 2: "),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"gramsim: error: {message}")
 
 
 def test_simulate_baseline_graph(capsys):

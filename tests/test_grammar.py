@@ -14,8 +14,8 @@ from gramsim import (GrammarFormatError, GrammarPathSuffix, GrammarValidationErr
                      represented_node_union, simulate_on_graph, simulate_on_grammar)
 from gramsim.simulate import _state
 
-from .conftest import (anchored_paths, corrupt_line, entry_lines, full_path_suffixes,
-                       seeded_case)
+from .conftest import (anchored_paths, corrupt_line, dict_expansion, entry_lines,
+                       full_path_suffixes, full_paths, seeded_case)
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,7 +69,15 @@ def test_grammar_rejects_a_malformed_edge_pair(pair):
     ("TERMINALS a\nSTART S\nSTART S\n", "duplicate START"),
     ("TERMINALS a\nTERMINALS b\n", "duplicate TERMINALS"),
     ("TERMINALS a\nSTART S\nRULE S = 1:a\n", "=>"),
-    ("TERMINALS a\nSTART S\nRULE S => 0:a\n", "body item"),
+    ("TERMINALS a\nSTART S\nRULE S => 1-a\n", "line 3: malformed body item '1-a'"),
+    ("TERMINALS a\nSTART S\nRULE S => x:a\n", "line 3: malformed body item 'x:a'"),
+    # the line gives an item's shape, and Rule checks what it holds
+    ("TERMINALS a\nSTART S\nRULE S => 0:a\n",
+     "line 3: rule S: ordinal must be a positive integer, got 0"),
+    ("TERMINALS a\nSTART S\nRULE S => 1:a-b\n", "line 3: rule S: invalid label 'a-b'"),
+    ("TERMINALS a\nSTART S\nRULE S => 1:\n", "line 3: rule S: invalid label ''"),
+    ("TERMINALS a\nSTART S\nRULE S-1 => 1:a\n", "line 3: invalid rule name 'S-1'"),
+    ("TERMINALS a\nSTART S\nRULE S => " + "9" * 5000 + ":a\n", "line 3: "),
     ("TERMINALS a\nSTART S\nRULE S => ²:a\n", "line 3: non-ASCII"),
     ("TERMINALS a\nSTART S\nRULE S => ١:a\n", "line 3: non-ASCII"),
     ("TERMINALS a\nSTART S\nRULE S => 1:a\nEDGE S/١:a S/1:a\n", "line 4: non-ASCII"),
@@ -249,60 +257,66 @@ def test_path_map_round_trip(fig1_grammar):
     assert parse_path_map(format_path_map(pm)) == pm
 
 
-def test_path_map_rejects_duplicates():
-    with pytest.raises(ValueError):
-        parse_path_map("a 1\nb 1\n")
-    with pytest.raises(ValueError):
-        parse_path_map("a 1\na 2\n")
-    with pytest.raises(GrammarFormatError):
-        parse_path_map("a one\n")
-    for text, message in [
-        ("a 1\nb 1\n", "line 2: duplicate node id 1"),
-        ("a 1\na 2\n", "line 2: duplicate path a"),
-        ("S/1:a 1\nS/2:a 1\n", "line 2: duplicate node id 1"),
-        ("# header\n\nS/1:a 1\nS/2:a 2\nS/1:a 3\n", "line 5: duplicate path S/1:a"),
-        ("S/1:a 0\n", "line 1: node id must be positive, got 0"),
-        ("S/1:a 1\nS/2:a 00\n", "line 2: node id must be positive, got 0"),
-    ]:
-        with pytest.raises(GrammarFormatError) as err:
-            parse_path_map(text)
-        assert str(err.value) == message
-    # direct API callers keep PathMap's own error
-    with pytest.raises(ValueError, match="duplicate node id 1") as err:
-        PathMap([(bare("a"), 1), (bare("b"), 1)])
-    assert not isinstance(err.value, GrammarFormatError)
+@pytest.mark.parametrize("text,message", [
+    ("a one\n", "line 1: expected '<path> <id>'"),
+    # a bare terminal is no full path
+    ("a 1\nb 2\n", "line 1: path a has no steps"),
+    ("S/1:a 0\n", "line 1: node id must be a positive int, got 0"),
+    ("S/1:a 1\nS/2:a 00\n", "line 2: node id must be a positive int, got 0"),
+    ("S/1:a 1\nS/2:a 1\n", "line 2: duplicate node id 1"),
+    ("# header\n\nS/1:a 1\nS/2:a 2\nS/1:a 3\n", "line 5: duplicate path S/1:a"),
+    ("S/1:a 1\nT/1:a 2\n", "line 2: path T/1:a is anchored at T, not S"),
+    ("S/1:a 1\nS/1:b 2\n", "line 2: path S/1:b: ordinal 1 of rule S is labeled both a and b"),
+    ("S/1:T/1:a 1\nS/2:T 2\n", "line 2: path S/2:T: T is both a terminal and a rule"),
+    ("S/1:T 1\nS/2:T/1:a 2\n", "line 2: path S/2:T/1:a: T is both a terminal and a rule"),
+    # what only the whole list shows is reported on its last line
+    ("S/1:T/1:U/2:a 1\nS/2:U/1:T/2:b 2\n# end\n", "line 2: recursive rules: T -> U -> T"),
+    ("", "no entries"),
+    ("# only a comment\n\n", "no entries"),
+    ("S/1:T/1:a 1\nS/2:a 2\nS/3:T/2:b 3\n",
+     "line 3: 3 paths for the 5 full paths the rules derive; missing S/1:T/2:b"),
+])
+def test_path_map_rejects_duplicates(text, message):
+    with pytest.raises(GrammarFormatError) as err:
+        parse_path_map(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("entries,message", [
-    ([(bare("a"), 0)], "node id must be positive, got 0"),
-    ([(bare("a"), -3)], "node id must be positive, got -3"),
-    ([(bare("a"), True)], "node id must be positive, got True"),
-    ([(bare("a"), "1")], "node id must be positive, got '1'"),
-    ([(bare("a"), 1.0)], "node id must be positive, got 1.0"),
-    ([("a", 1)], "path must be a GrammarPathSuffix, got 'a'"),
-    ([(bare("a"), 1), (None, 2)], "path must be a GrammarPathSuffix, got None"),
-    # paths that format_path_map would write and parse_path_map reject
-    ([(GrammarPathSuffix((("S", 1),), "a b"), 1)], "invalid terminal 'a b'"),
-    ([(GrammarPathSuffix((("S", 0),), "a b"), 1)],
-     "invalid step ('S', 0): expected (rule name, positive int ordinal)"),
+    ([("S/1:a", 1)], "path must be a GrammarPathSuffix, got 'S/1:a'"),
+    ([(parse_suffix("S/1:a"), 1), (None, 2)], "path must be a GrammarPathSuffix, got None"),
+    ([(bare("a"), 1)], "path a has no steps"),
+    ([(parse_suffix("S/1:a"), 0)], "node id must be a positive int, got 0"),
+    ([(parse_suffix("S/1:a"), -3)], "node id must be a positive int, got -3"),
+    ([(parse_suffix("S/1:a"), True)], "node id must be a positive int, got True"),
+    ([(parse_suffix("S/1:a"), "1")], "node id must be a positive int, got '1'"),
+    ([(parse_suffix("S/1:a"), 1.0)], "node id must be a positive int, got 1.0"),
+    ([(parse_suffix("S/1:a"), 1), (parse_suffix("S/1:a"), 2)], "duplicate path S/1:a"),
+    ([(parse_suffix("S/1:a"), 1), (parse_suffix("S/2:a"), 1)], "duplicate node id 1"),
+    ([(parse_suffix("S/1:a"), 1), (parse_suffix("T/1:a"), 2)],
+     "path T/1:a is anchored at T, not S"),
+    ([(parse_suffix("S/1:a"), 1), (parse_suffix("S/1:b"), 2)],
+     "path S/1:b: ordinal 1 of rule S is labeled both a and b"),
+    ([(parse_suffix("S/1:T/1:a"), 1), (parse_suffix("S/2:T"), 2)],
+     "path S/2:T: T is both a terminal and a rule"),
+    # names, ordinals and labels are Rule's to check
+    ([(GrammarPathSuffix((("S", 1),), "a b"), 1)], "rule S: invalid label 'a b'"),
+    ([(GrammarPathSuffix((("S", 0),), "a"), 1)],
+     "rule S: ordinal must be a positive integer, got 0"),
     ([(GrammarPathSuffix((("S", True),), "a"), 1)],
-     "invalid step ('S', True): expected (rule name, positive int ordinal)"),
-    ([(GrammarPathSuffix((("S:T", 1),), "a"), 1)],
-     "invalid step ('S:T', 1): expected (rule name, positive int ordinal)"),
-    ([(GrammarPathSuffix((("S", 1.0),), "a"), 1)],
-     "invalid step ('S', 1.0): expected (rule name, positive int ordinal)"),
-    ([(GrammarPathSuffix(("S",), "a"), 1)],
-     "invalid step 'S': expected (rule name, positive int ordinal)"),
-    ([(GrammarPathSuffix("S/1", "a"), 1)], "path steps must be a tuple, got 'S/1'"),
-    ([(GrammarPathSuffix((), 7), 1)], "invalid terminal 7"),
-    # a step or terminal equal to one already checked is checked again
-    ([(parse_suffix("S/1:a"), 1), (GrammarPathSuffix((("S", True),), "b"), 2)],
-     "invalid step ('S', True): expected (rule name, positive int ordinal)"),
+     "rule S: ordinal must be a positive integer, got True"),
+    ([(GrammarPathSuffix((("S:T", 1),), "a"), 1)], "invalid rule name 'S:T'"),
+    ([(parse_suffix("S/1:T/1:U/2:a"), 1), (parse_suffix("S/2:U/1:T/2:b"), 2)],
+     "recursive rules: T -> U -> T"),
+    ([], "no entries"),
+    ([(parse_suffix("S/1:T/1:a"), 1), (parse_suffix("S/2:T/2:b"), 2)],
+     "2 paths for the 4 full paths the rules derive; missing S/1:T/2:b"),
 ])
 def test_path_map_rejects_entries_the_map_format_cannot_hold(entries, message):
     with pytest.raises(ValueError) as err:
         PathMap(entries)
     assert str(err.value) == message
+    assert not isinstance(err.value, GrammarFormatError)
 
 
 _path_texts = st.sampled_from(["a", "b", "S/1:a", "S/2:a", "S/1:T/3:b", "R2/1:S/1:a"])
@@ -388,9 +402,9 @@ def test_leading_zero_ordinals_parse_to_the_same_path():
     with pytest.raises(GrammarFormatError) as err:
         parse_path_map("S/01:a 1\nS/1:a 2\n")
     assert str(err.value) == "line 2: duplicate path S/1:a"
-    pm = parse_path_map("S/01:T/010:a 1\nS/01:T/10:b 2\n")
-    assert [str(path) for path, _ in pm] == ["S/1:T/10:a", "S/1:T/10:b"]
-    assert format_path_map(pm) == "S/1:T/10:a 1\nS/1:T/10:b 2\n"
+    pm = parse_path_map("S/01:T/010:a 1\nS/01:T/9:b 2\n")
+    assert [str(path) for path, _ in pm] == ["S/1:T/10:a", "S/1:T/9:b"]
+    assert format_path_map(pm) == "CANONICAL\nSTART S\nRULE T => 9:b 10:a\nRULE S => 1:T\n2\n1\n"
     gg = parse_grammar("TERMINALS a\nSTART S\nRULE S => 1:a 2:a\nEDGE S/01:a S/2:a\n"
                        "EDGE S/1:a S/02:a\n")
     assert format_grammar(gg).endswith("\nEDGE S/1:a S/2:a\n")
@@ -451,19 +465,6 @@ def test_expansion_matches_anchored_paths(seed):
         assert represented_node_union(gg, [s], pm) == {pm.node_for(p) for p in paths}
 
 
-def test_expansion_of_a_path_missing_from_the_map_raises_key_error(fig1_grammar):
-    _, full = decompress(fig1_grammar)
-    missing = parse_suffix("S/3:CDCD/1:CD/1:c")
-    pm = PathMap((path, nid) for path, nid in full if path != missing)
-    assert represented_node_union(fig1_grammar, [parse_suffix("S/1:CDCD/1:CD/1:c")], pm) == {1}
-    with pytest.raises(KeyError) as err:
-        represented_node_union(fig1_grammar, [parse_suffix("CD/1:c")], pm)
-    assert err.value.args == (missing,)
-    result = simulate_on_grammar(fig1_grammar, load_graph("1 c\n"))
-    with pytest.raises(KeyError):
-        expand_by_node(fig1_grammar, result, pm)
-
-
 OTHER_S = """TERMINALS b c d
 START S
 RULE CD => 1:c 2:d
@@ -473,33 +474,53 @@ EDGE CD/1:c CD/2:d
 """
 
 
+def test_expansion_of_a_path_missing_from_the_map_raises_key_error(fig1_grammar):
+    # the map of fig1 with b moved to the front of S holds fig1's S/3
+    # paths, but neither its S/1 paths nor S/2:b
+    _, pm = decompress(parse_grammar(OTHER_S))
+    assert represented_node_union(fig1_grammar, [parse_suffix("S/3:CDCD/1:CD/1:c")], pm) == {6}
+    with pytest.raises(KeyError) as err:
+        represented_node_union(fig1_grammar, [parse_suffix("CD/1:c")], pm)
+    assert err.value.args == (parse_suffix("S/1:CDCD/1:CD/1:c"),)
+    result = simulate_on_grammar(fig1_grammar, load_graph("1 c\n"))
+    with pytest.raises(KeyError):
+        expand_by_node(fig1_grammar, result, pm)
+
+
+def _numbered(gg, first):
+    # gg's full paths as a plain dict, numbered from `first` up in
+    # canonical order
+    return {path: nid for nid, path in enumerate(full_paths(gg), start=first)}
+
+
 def test_one_path_map_follows_each_grammar_it_expands_against(fig1_grammar):
-    # fig1 with b moved to the front of S: canonical ids 1-4 now name other
-    # paths, so a table kept from one grammar gives the other wrong ids
+    # in OTHER_S canonical ids 1-4 name other paths than in fig1, so a
+    # table kept from one grammar gives the other wrong ids, not an error
     other = parse_grammar(OTHER_S)
-    entries = {path: 100 + nid for path, nid in decompress(fig1_grammar)[1]}
-    for path, nid in decompress(other)[1]:
-        entries.setdefault(path, 200 + nid)
-    pm = PathMap(entries.items())
     reload = parse_grammar(format_grammar(fig1_grammar))
-    probe = [parse_suffix("CD/1:c"), bare("b")]
-    for gg in (fig1_grammar, other, reload, other, fig1_grammar):
-        want = {pm.node_for(p) for s in probe for p in anchored_paths(gg, s)}
-        assert represented_node_union(gg, probe, pm) == want
-    assert represented_node_union(other, probe, pm) == {201, 202, 204, 106, 108}
+    probes = [[parse_suffix("CD/1:c"), bare("b")], [parse_suffix("S/3:CDCD/2:CD/1:c")]]
+    for own, first in ((fig1_grammar, 101), (other, 201)):
+        ref = _numbered(own, first)
+        pm = PathMap(ref.items())
+        for gg in (fig1_grammar, other, reload, other, fig1_grammar):
+            for probe in probes:
+                assert _union_outcome(gg, probe, pm) == dict_expansion(gg, probe, ref)
+    pm = PathMap(_numbered(fig1_grammar, 101).items())
+    assert represented_node_union(reload, probes[0], pm) == {101, 103, 105, 106, 108}
+    assert _union_outcome(other, probes[0], pm) == (parse_suffix("S/1:b"),)
 
 
 def test_path_map_does_not_keep_its_grammar_alive(fig1_grammar):
     gg = parse_grammar(format_grammar(fig1_grammar))
     _, pm = decompress(gg)
     assert represented_node_union(gg, [bare("b")], pm) == {5}
-    checks = _parity_checks(pm, gg, [fig1_grammar, parse_grammar(OTHER_S)])
+    checks = _reference_checks(pm, gg, [fig1_grammar, parse_grammar(OTHER_S)])
     ref = weakref.ref(gg)
     del gg
     gc.collect()
     assert ref() is None
     assert represented_node_union(fig1_grammar, [bare("b")], pm) == {5}
-    _assert_acts_like_dict_form(pm, *checks)
+    _assert_acts_like_its_dict(pm, *checks)
 
 
 def test_compress_map_does_not_keep_its_grammar_alive():
@@ -507,7 +528,7 @@ def test_compress_map_does_not_keep_its_grammar_alive():
     gg, pm = compress(graph)
     text = format_grammar(gg)
     other = compress(seeded_case(10, max_base=10)[0])[0]
-    checks = _parity_checks(pm, gg, [parse_grammar(text), other])
+    checks = _reference_checks(pm, gg, [parse_grammar(text), other])
     ref = weakref.ref(gg)
     del gg
     gc.collect()
@@ -516,11 +537,11 @@ def test_compress_map_does_not_keep_its_grammar_alive():
     reloaded = parse_grammar(text)
     result = simulate_on_grammar(reloaded, pattern, optimized=True)
     assert expand_by_node(reloaded, result, pm) == simulate_on_graph(graph, pattern)
-    assert pm._ids_by_canonical(reloaded) == _reference_ids(pm, reloaded)
-    _assert_acts_like_dict_form(pm, *checks)
+    assert pm._ids_by_canonical(reloaded) == _reference_ids(checks[0], reloaded)
+    _assert_acts_like_its_dict(pm, *checks)
 
 
-# ---- canonical path maps against their dict form ----
+# ---- path maps against a plain dict of their full paths ----
 
 
 def _misfits(gg, full, rng):
@@ -544,16 +565,23 @@ def _misfits(gg, full, rng):
     return out
 
 
-def _parity_checks(pm, gg, grammars):
-    """What _assert_acts_like_dict_form needs, taken while gg is alive: the
-    dict form of pm, gg's full paths, misfits of gg, and the grammars to
-    expand through."""
-    dict_form = PathMap(list(pm))
-    full = [GrammarPathSuffix(steps, terminal) for steps, terminal in gg.iter_full_paths()]
+def _as_dict(pm, gg):
+    """pm, a map of gg's full paths, as a plain dict: gg's full paths and
+    the ids its text lists for them, in the same canonical order."""
+    full = full_paths(gg)
+    ids = format_path_map(pm).split("\n")[-len(full) - 1:-1]
+    return dict(zip(full, map(int, ids)))
+
+
+def _reference_checks(pm, gg, grammars):
+    """What _assert_acts_like_its_dict needs, taken while gg is alive: pm
+    as a dict, misfits of gg, and the grammars to expand through."""
+    ref = _as_dict(pm, gg)
+    full = list(ref)
     misfits = _misfits(gg, full, random.Random(len(full)))
     # a step that is no (rule, ordinal) pair names no node either
     misfits.append(GrammarPathSuffix(((gg.start,),), full[0].terminal))
-    return dict_form, full, misfits, grammars
+    return ref, misfits, grammars
 
 
 def _union_outcome(gg, suffixes, pm):
@@ -563,34 +591,35 @@ def _union_outcome(gg, suffixes, pm):
         return err.args
 
 
-def _assert_acts_like_dict_form(pm, dict_form, full, misfits, grammars):
-    assert len(pm) == len(dict_form) == len(full)
-    assert list(pm) == list(dict_form)
-    assert pm == dict_form and dict_form == pm
-    entries = list(dict_form)
+def _assert_acts_like_its_dict(pm, ref, misfits, grammars):
+    entries = sorted(ref.items(), key=lambda entry: entry[1])
+    assert len(pm) == len(ref)
+    assert list(pm) == entries
+    # the same entries read back to an equal map
+    assert pm == PathMap(entries) and PathMap(entries) == pm
     swapped = PathMap([(entries[0][0], entries[-1][1])] + entries[1:-1]
                       + [(entries[-1][0], entries[0][1])])
-    fewer = PathMap(entries[1:])
-    for unequal in (swapped, fewer):
+    shifted = PathMap((path, nid + 1) for path, nid in entries)
+    for unequal in (swapped, shifted):
         assert pm != unequal and unequal != pm
     # the map's text reads back to an equal map that writes the same
-    # text; its entries as `<path> <id>` lines are the dict form's text
+    # text, and so do its entries as `<path> <id>` lines
     text = format_path_map(pm)
-    again = parse_path_map(text)
-    assert again == dict_form and again == pm and format_path_map(again) == text
-    assert entry_lines(pm) == format_path_map(dict_form)
-    for path in full:
+    lines = "".join(f"{path} {nid}\n" for path, nid in entries)
+    assert entry_lines(pm) == lines
+    for again in (parse_path_map(text), parse_path_map(lines)):
+        assert again == pm and pm == again and format_path_map(again) == text
+    for path, nid in ref.items():
         assert path in pm
-        assert pm.node_for(path) == dict_form.node_for(path)
+        assert pm.node_for(path) == nid
     for path in misfits:
-        assert path not in pm and path not in dict_form
-        for m in (pm, dict_form):
-            with pytest.raises(KeyError) as err:
-                m.node_for(path)
-            assert err.value.args == (path,)
+        assert path not in pm and path not in ref
+        with pytest.raises(KeyError) as err:
+            pm.node_for(path)
+        assert err.value.args == (path,)
     for g in grammars:
         probe = [bare(t) for t in sorted(g.terminals)]
-        assert _union_outcome(g, probe, pm) == _union_outcome(g, probe, dict_form)
+        assert _union_outcome(g, probe, pm) == dict_expansion(g, probe, ref)
 
 
 def _maps_with_grammars(case):
@@ -608,16 +637,19 @@ def _maps_with_grammars(case):
     return [(compressed, gg), (decompressed, reloaded)] + [(pm, reloaded) for pm in parsed]
 
 
-@pytest.mark.parametrize("case", [*range(12), "fig1"])
-def test_canonical_map_acts_like_its_dict_form(case):
-    other = parse_grammar(OTHER_S) if case == "fig1" else compress(
+def _other_grammar(case):
+    return parse_grammar(OTHER_S) if case == "fig1" else compress(
         seeded_case((case + 1) % 12, max_base=10)[0])[0]
+
+
+@pytest.mark.parametrize("case", [*range(12), "fig1"])
+def test_path_map_acts_like_a_dict_of_its_full_paths(case):
+    other = _other_grammar(case)
     pairs = _maps_with_grammars(case)
     key_errors = 0
     for pm, gg in pairs:
-        assert type(pm) is not PathMap   # the canonical form, not a dict
         grammars = [parse_grammar(format_grammar(gg)), other]
-        _assert_acts_like_dict_form(pm, *_parity_checks(pm, gg, grammars))
+        _assert_acts_like_its_dict(pm, *_reference_checks(pm, gg, grammars))
         # the other grammar's paths are not all in pm, so expansion
         # through it reports a missing path
         probe = [bare(t) for t in sorted(other.terminals)]
@@ -672,7 +704,7 @@ def test_a_table_map_is_stored_reloaded_and_expanded_without_paths(monkeypatch):
     monkeypatch.undo()
     assert nodes == set(graph.node_ids)
     assert len(text) < len(entry_lines(pm)) // 10
-    assert table == _reference_ids(pm, reloaded)
+    assert table == _reference_ids(_as_dict(pm, reloaded), reloaded)
 
 
 _TABLE_MAP = "CANONICAL\nSTART S\nRULE A => 1:a 2:b\nRULE S => 1:A 2:c 3:A\n"
@@ -685,6 +717,11 @@ _TABLE_MAP = "CANONICAL\nSTART S\nRULE A => 1:a 2:b\nRULE S => 1:A 2:c 3:A\n"
     ("CANONICAL\nSTART S T\nRULE S => 1:a\n1\n", "line 2: START expects one symbol"),
     ("CANONICAL\nSTART S\nRULE S 1:a\n1\n", "line 3: expected 'RULE name => items'"),
     ("CANONICAL\nSTART S\nRULE S => 1-a\n1\n", "line 3: malformed body item '1-a'"),
+    ("CANONICAL\nSTART S\nRULE S => 1:a-b\n1\n", "line 3: rule S: invalid label 'a-b'"),
+    ("CANONICAL\nSTART S\nRULE S => 0:a\n1\n",
+     "line 3: rule S: ordinal must be a positive integer, got 0"),
+    # beyond int()'s digit limit, where one is set
+    ("CANONICAL\nSTART S\nRULE S => " + "9" * 5000 + ":a\n1\n", "line 3: "),
     ("CANONICAL\nSTART S\nRULE S => 1:a 1:b\n1\n", "line 3: rule S: duplicate ordinal 1"),
     ("CANONICAL\nSTART S\nRULE S => 1:a\nRULE S => 1:b\n1\n",
      "line 4: rule S already defined on line 3"),
@@ -720,7 +757,6 @@ def test_a_hostile_table_map_fails_on_its_line(text, message):
 
 def test_a_table_map_reads_comments_blanks_and_padded_ids():
     plain = parse_path_map(_TABLE_MAP + "5\n4\n3\n2\n1\n")
-    assert type(plain) is not PathMap
     assert [str(path) for path, _ in plain][:2] == ["S/3:A/2:b", "S/3:A/1:a"]
     padded = ("# a map\n\n" + _TABLE_MAP.replace("\n", " \r\n") + "05\n\n4\n# three\n3\n"
               "  2\t\n1")
@@ -728,29 +764,34 @@ def test_a_table_map_reads_comments_blanks_and_padded_ids():
     assert again == plain and format_path_map(again) == format_path_map(plain)
     # an empty grammar derives no node, and its map holds no id
     empty = parse_path_map("CANONICAL\nSTART S\nRULE S =>\n")
-    assert len(empty) == 0 and empty == PathMap([])
+    assert len(empty) == 0 and list(empty) == []
     assert format_path_map(empty) == "CANONICAL\nSTART S\nRULE S =>\n"
 
 
 @pytest.mark.parametrize("case", [*range(12), "fig1"])
 def test_entry_text_parses_to_a_map_equal_to_its_table_text(case):
-    for pm, _ in _maps_with_grammars(case)[:2]:
+    pairs = _maps_with_grammars(case)
+    grammars = [gg for _, gg in pairs[:2]] + [_other_grammar(case)]
+    for pm, _ in pairs[:2]:
         old = parse_path_map(entry_lines(pm))
         new = parse_path_map(format_path_map(pm))
-        assert type(old) is PathMap and type(new) is not PathMap
         assert old == new and new == old and old == pm
         assert list(old) == list(new)
-        assert format_path_map(old) == entry_lines(pm)
+        # the rules read from the paths come in the order compress gives
+        assert format_path_map(old) == format_path_map(pm)
+        for gg in grammars:
+            probe = [bare(t) for t in sorted(gg.terminals)]
+            assert _union_outcome(gg, probe, old) == _union_outcome(gg, probe, new)
 
 
 def test_the_kept_entry_text_of_fig1_equals_its_table_text():
-    # the decompress map of fig1.gg as the CLI writes it now, and as it
-    # was written in `<path> <id>` lines before the table form
-    new = parse_path_map((DATA / "fig1.restored.map").read_text())
+    # the decompress map of fig1.gg in `<path> <id>` lines, as the CLI
+    # wrote it before the table form, converts to the table text it writes
+    # now, byte for byte
     old = parse_path_map((DATA / "fig1.restored.entries.map").read_text())
-    assert type(old) is PathMap and type(new) is not PathMap
-    assert list(old) == list(new) and len(old) == 9
-    assert old == new and new == old
+    table_text = (DATA / "fig1.restored.map").read_text()
+    assert format_path_map(old) == table_text
+    assert old == parse_path_map(table_text) and len(old) == 9
 
 
 # ---- parser fuzzing over compressor output ----
@@ -810,17 +851,21 @@ def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
         pm = parse_path_map(text)
     except GrammarFormatError as exc:
         where, _, message = str(exc).partition(": ")
-        # a corrupted line can also turn a later line into a duplicate
-        assert where == f"line {lineno}" or (
-            where.startswith("line ") and int(where[5:]) > lineno and "duplicate" in message)
+        # a corrupted line can also clash with a later line, and a line
+        # dropped or changed can leave the paths short of a full path or
+        # recursive, which the last line reports
+        clash = ("duplicate", "anchored at", "labeled both", "both a terminal and a rule")
+        whole = ("full paths the rules derive", "recursive rules")
+        assert where == f"line {lineno}" or any(kind in message for kind in whole) or (
+            where.startswith("line ") and int(where[5:]) > lineno
+            and any(kind in message for kind in clash))
         _assert_suffix_error_matches(exc, lineno, fresh)
         return
-    # accepted: the line became a comment, or is still a well-formed entry
-    # whose path parses alone to what the document holds
-    assert comment or shaped
-    if shaped:
-        assert fresh is None
-        assert pm.node_for(parse_suffix(tokens[0])) == int(tokens[1])
+    # accepted: the line is still a well-formed entry whose path parses
+    # alone to what the document holds; a line made a comment leaves a
+    # path out
+    assert shaped and not comment and fresh is None
+    assert pm.node_for(parse_suffix(tokens[0])) == int(tokens[1])
     assert parse_path_map(format_path_map(pm)) == pm
 
 
@@ -969,14 +1014,11 @@ def test_validate_lists_a_repeated_bad_side_once_per_occurrence(fig1_grammar):
         assert gg.validate() == want  # the kept list
 
 
-def _reference_ids(pm, gg):
+def _reference_ids(ref, gg):
     # the table's definition: for each full path of gg in canonical
-    # (depth-first) order, the map's id for it, None where it has none
-    table = [None]
-    for steps, terminal in gg.iter_full_paths():
-        path = GrammarPathSuffix(steps, terminal)
-        table.append(pm.node_for(path) if path in pm else None)
-    return table
+    # (depth-first) order, the plain dict's id for it, None where it has
+    # none
+    return [None] + [ref.get(path) for path in full_paths(gg)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -984,30 +1026,24 @@ def _reference_ids(pm, gg):
 def test_path_map_table_matches_its_definition(seed, other_seed):
     gg, pm = compress(seeded_case(seed, max_base=10)[0])
     other, other_pm = compress(seeded_case(other_seed, max_base=10)[0])
-    rng = random.Random(seed)
-    entries = dict(pm)
-    for path in rng.sample(sorted(entries, key=str), len(entries) // 4):
-        del entries[path]   # gaps: paths the map lacks
-    full = [path for path, _ in pm]
-    misfits = [path for path, _ in other_pm][:8]   # another grammar's paths
-    misfits += _misfits(gg, full, rng)
-    next_id = max(pm.node_for(path) for path in full) + 1
-    for k, path in enumerate(misfits):
-        entries.setdefault(path, next_id + k)
-    mixed = PathMap(entries.items())
     reloaded_gg = parse_grammar(format_grammar(gg))
-    reloaded_map = parse_path_map(format_path_map(mixed))
+    reloaded_map = parse_path_map(entry_lines(other_pm))
+    ref, other_ref = _as_dict(pm, gg), _as_dict(other_pm, other)
     # maps from compress and decompress come with the table for their own
     # grammar; every other pair builds it
     decompressed = [decompress(g)[1] for g in (gg, reloaded_gg)]
     for g, m in [(gg, pm), (other, other_pm), (gg, decompressed[0]),
                  (reloaded_gg, decompressed[1])]:
         assert m._dense[0]() is g
-    for g, m in [(gg, pm), (other, other_pm), (gg, decompressed[0]),
-                 (reloaded_gg, decompressed[1]), (gg, mixed), (reloaded_gg, reloaded_map), (other, mixed),
-                 (reloaded_gg, parse_path_map(format_path_map(pm))), (gg, reloaded_map),
-                 # a compress map used with an equal grammar object, then
-                 # with its own again
-                 (reloaded_gg, pm), (gg, pm), (gg, decompressed[1])]:
-        assert m._ids_by_canonical(g) == _reference_ids(m, g)
+    canonical = _numbered(gg, 1)
+    # another grammar's map has gaps in gg's paths, and paths that misfit
+    for g, m, want in [(gg, pm, ref), (other, other_pm, other_ref), (gg, decompressed[0], canonical),
+                       (reloaded_gg, decompressed[1], canonical), (gg, other_pm, other_ref),
+                       (reloaded_gg, reloaded_map, other_ref), (other, reloaded_map, other_ref),
+                       (reloaded_gg, parse_path_map(format_path_map(pm)), ref),
+                       (gg, reloaded_map, other_ref),
+                       # a compress map used with an equal grammar object,
+                       # then with its own again
+                       (reloaded_gg, pm, ref), (gg, pm, ref), (gg, decompressed[1], canonical)]:
+        assert m._ids_by_canonical(g) == _reference_ids(want, g)
         assert m._dense[0]() is g

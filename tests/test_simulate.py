@@ -19,7 +19,8 @@ from gramsim import (GrammarPathSuffix, GrammarValidationError, GraphGenParams,
 from gramsim import simulate
 from gramsim.simulate import _coalesce, _GrammarState, _inside, _reduce, _state
 
-from .conftest import full_path_suffixes, is_suffix_of, seeded_case
+from .conftest import (dict_expansion, full_path_suffixes, full_paths, is_suffix_of,
+                       seeded_case)
 
 
 def texts(suffixes):
@@ -483,15 +484,17 @@ def _expanded(gg, result, path_map):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.data())
-def test_expansion_matches_the_graph_and_the_path_map(seed, reload, optimized, data):
+@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.integers(0, 10**6))
+def test_expansion_matches_the_graph_and_the_path_map(seed, reload, optimized, other_seed):
     graph, pattern = seeded_case(seed, max_base=10)
     gg, pm = compress(graph)
     if reload:
         gg = parse_grammar(format_grammar(gg))
-    entries = list(pm)
-    kept = data.draw(st.sets(st.integers(0, len(entries) - 1)))
-    partial = PathMap(entries[i] for i in sorted(kept))
+    # another grammar's map leaves gaps in gg's paths and holds paths that
+    # misfit it; the plain dict it is read from is the reference
+    other_gg = compress(seeded_case(other_seed, max_base=10)[0])[0]
+    ref = {path: nid for nid, path in enumerate(full_paths(other_gg), start=1001)}
+    other_map = PathMap(ref.items())
     result = simulate_on_grammar(gg, pattern, optimized=optimized)
     want = simulate_on_graph(graph, pattern)
     # the compress map's ids are the graph's, and without a map the
@@ -500,21 +503,22 @@ def test_expansion_matches_the_graph_and_the_path_map(seed, reload, optimized, d
     _, canonical = decompress(gg)
     no_map = {u: frozenset(canonical.node_for(path_of[v]) for v in nodes)
               for u, nodes in want.items()}
-    # a partial map names the smallest missing path of the first pattern
+    # the other map names the smallest missing path of the first pattern
     # node that has one
-    with_partial = want
-    for u in result.candidates:
-        missing = [path_of[v] for v in want[u] if path_of[v] not in partial]
-        if missing:
-            with_partial = (min(missing, key=canonical.node_for),)
+    with_other = {}
+    for u, sset in result.candidates.items():
+        outcome = dict_expansion(gg, sset, ref)
+        if isinstance(outcome, tuple):
+            with_other = outcome
             break
+        with_other[u] = outcome
     # an equal grammar object that did not make the result expands it alike
     other = parse_grammar(format_grammar(gg))
     assert other == gg and other is not gg
     for grammar in (gg, other):
         assert _expanded(grammar, result, None) == no_map
         assert _expanded(grammar, result, pm) == want
-        assert _expanded(grammar, result, partial) == with_partial
+        assert _expanded(grammar, result, other_map) == with_other
 
 
 def test_expansion_fit_checks_every_result(fig1_grammar, cd_pattern):
