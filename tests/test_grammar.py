@@ -841,7 +841,8 @@ def test_documents_round_trip_and_parse_like_fresh_suffixes(seed):
 def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
     # a map in `<path> <id>` lines, the form parse_path_map still reads
     _, pm = compress(seeded_case(seed, max_base=10)[0])
-    lineno, text = corrupt_line(entry_lines(pm), data)
+    original = entry_lines(pm)
+    lineno, text = corrupt_line(original, data)
     line = text.split("\n")[lineno - 1].strip()
     tokens = line.split()
     comment = line.startswith("#")
@@ -861,11 +862,22 @@ def test_a_corrupted_path_map_line_fails_on_that_line(seed, data):
             and any(kind in message for kind in clash))
         _assert_suffix_error_matches(exc, lineno, fresh)
         return
-    # accepted: the line is still a well-formed entry whose path parses
-    # alone to what the document holds; a line made a comment leaves a
-    # path out
-    assert shaped and not comment and fresh is None
-    assert pm.node_for(parse_suffix(tokens[0])) == int(tokens[1])
+    if comment:
+        # accepted: a line made a comment drops its path, and the other
+        # paths are still every full path of one grammar when the dropped
+        # path was the only one through a rule ordinal (rules may skip an
+        # ordinal); every other path keeps its id
+        dropped = parse_suffix(original.split("\n")[lineno - 1].split()[0])
+        assert len(pm) == len(original.split("\n")) - 2
+        assert dropped not in pm
+        for path, nid in parse_path_map(original):
+            if path != dropped:
+                assert pm.node_for(path) == nid
+    else:
+        # accepted: the line is still a well-formed entry whose path parses
+        # alone to what the document holds
+        assert shaped and fresh is None
+        assert pm.node_for(parse_suffix(tokens[0])) == int(tokens[1])
     assert parse_path_map(format_path_map(pm)) == pm
 
 
