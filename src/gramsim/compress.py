@@ -3,16 +3,18 @@
 The compressor repeatedly finds the most frequent digram (an edge shape:
 the label paths hanging under its two endpoints), replaces every
 non-overlapping occurrence with a fresh two-node rule, and records the
-replaced edge shape as an edge pair of that rule. Whatever survives
-becomes the start rule, and an edge left inside a merged node becomes
-an edge pair of the rule that node derives from when every instance of
-that rule has it.
+replaced edge shape as an edge pair of that rule. A merge leaves every
+other edge between its two nodes as a self-loop on the new node; a loop
+shape that every instance of the new rule has becomes an edge pair of
+that rule at once, and any other loop stays a work edge, which a later
+rule whose instances all have it folds the same way. Whatever survives
+becomes the start rule.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Iterable
 
 from .graph import LabeledGraph
@@ -95,6 +97,8 @@ class WorkGraph:
     def replace(self, key: tuple[int, int], fresh_name: str) -> set[tuple[int, int]]:
         """Replace all counted occurrences of `key` by fresh_name nodes.
 
+        Each loop shape on the new nodes that all of them have becomes an
+        edge pair of the new rule, and its loops leave the work graph.
         Returns every digram key whose edge bucket changed. Requires a
         non-overlapping count of at least 2.
         """
@@ -117,6 +121,8 @@ class WorkGraph:
         bucket.difference_update(occurrences)
         if not bucket:
             del by_digram[key]
+        # loop shape on a new node -> (node, edge id) of each such loop
+        loops: defaultdict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
         for eid in occurrences:
             v1, _, v2, _ = edges.pop(eid)
             n = self.max_ordinal + 1
@@ -157,69 +163,37 @@ class WorkGraph:
                             bucket = by_digram[key_now] = set()
                         bucket.add(other)
                         affected.add(key_now)
+                    else:  # a loop on n, found on its last visit
+                        loops[(sp, dp)].append((n, other))
                 del self.labels[old]
+        # Every instance of the rule is made here, and no later merge adds
+        # an edge inside one, so a loop shape every new node has is an edge
+        # pair of the rule. A loop shape only some have stays a loop, and
+        # may fold into a later rule whose instances all have it. A node
+        # has a shape at most once: a path under a node names one original
+        # node, and original edges are distinct pairs.
+        for (sp, dp), found in loops.items():
+            if len(found) == len(occurrences):
+                self.rule_pairs.append((self.paths[sp], self.paths[dp]))
+                for n, other in found:
+                    del edges[other]
+                    touching[n].discard(other)
         return affected
 
     def to_grammar(self, terminals: Iterable[str], start_name: str
                    ) -> tuple[GraphGrammar, PathMap]:
-        """Freeze the current state: survivors become the start rule.
-
-        A merge leaves every other edge between its two nodes as a
-        self-loop on the merged node, that is, an edge pair whose two sides
-        share their first step Q/i into a rule R. Where one shape of such
-        pairs runs through every body position that calls R, every instance
-        of R has that edge, and the shape becomes one edge pair of R. The
-        rules are swept callers first, so a folded pair whose sides again
-        share their first step folds on into that rule's callee in the
-        same sweep, and after it no shape is left to fold."""
+        """Freeze the current state: survivors become the start rule, and
+        each work edge left, self-loops included, one of its edge pairs."""
         paths, extend = self.paths, self._extend
         survivors = sorted(self.labels)
         dense = {nid: i for i, nid in enumerate(survivors, start=1)}
         body = tuple((dense[nid], self.labels[nid]) for nid in survivors)
         rules = self.rules + [Rule(start_name, body)]
-        calls = Counter(label for rule in rules for _, label in rule.body)
         # every side is a path id interned in `paths`, so that equal sides
         # are one object
-        pairs = list(self.rule_pairs)
-        # rule -> (left, right) path ids below a body position calling it
-        # -> the steps to those positions
-        loops: defaultdict[str, defaultdict[tuple[int, int], list]] = defaultdict(
-            lambda: defaultdict(list))
-
-        def place(step: tuple[str, int], left: int, right: int) -> None:
-            # a pair whose two sides run through `step`; the paths below it
-            # start with the rule at that position, or are bare for a terminal
-            below = paths[left].steps
-            if below:
-                loops[below[0][0]][(left, right)].append(step)
-            else:
-                pairs.append((paths[extend(step, left)], paths[extend(step, right)]))
-
-        for src, sp, dst, dp in self.edges.values():
-            if src == dst:
-                place((start_name, dense[src]), sp, dp)
-            else:
-                pairs.append((paths[extend((start_name, dense[src]), sp)],
-                              paths[extend((start_name, dense[dst]), dp)]))
-        # a path below `step` is the id it was extended from, found by
-        # turning that step's intern table round, once per step
-        unextend: dict[tuple[str, int], dict[int, int]] = {}
-        for rule in reversed(self.rules):  # callers first: a rule calls only older ones
-            for (left, right), steps in loops.pop(rule.name, {}).items():
-                # the pairs are distinct, so are their steps: as many
-                # steps as calls means every position calling the rule
-                if len(steps) < calls[rule.name]:
-                    for step in steps:
-                        pairs.append((paths[extend(step, left)], paths[extend(step, right)]))
-                    continue
-                step = paths[left].steps[0]
-                if step != paths[right].steps[0]:
-                    pairs.append((paths[left], paths[right]))
-                    continue
-                inner = unextend.get(step)
-                if inner is None:
-                    inner = unextend[step] = {out: pid for pid, out in self.interned[step].items()}
-                place(step, inner[left], inner[right])
+        pairs = self.rule_pairs + [(paths[extend((start_name, dense[src]), sp)],
+                                    paths[extend((start_name, dense[dst]), dp)])
+                                   for src, sp, dst, dp in self.edges.values()]
         grammar = GraphGrammar(terminals, rules, start_name, pairs)
         # the grammar's full paths, depth first, run in the survivors'
         # leaf order

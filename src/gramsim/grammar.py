@@ -382,12 +382,14 @@ class PathMap:
     and the map as a whole once the last is read.
 
     Raises:
-        ValueError: on a path that is not a GrammarPathSuffix or has no
-            steps, an id that is not a positive int, a repeated path or
-            id, paths anchored at different rules, a rule ordinal with two
-            labels, a symbol that is both a terminal and a rule, an invalid
-            rule, no entries, recursive rules, or a full path of the rules
-            that no entry gives (the first such path is named).
+        ValueError: on a path that is not a GrammarPathSuffix, has a step
+            that is not a (str, int) pair or a terminal that is not a str,
+            or has no steps, an id that is not a positive int, a repeated
+            path or id, paths anchored at different rules, a rule ordinal
+            with two labels, a symbol that is both a terminal and a rule,
+            an invalid rule, no entries, recursive rules, or a full path
+            of the rules that no entry gives (the first such path is
+            named).
     """
 
     __slots__ = ("_rules", "_start", "_offsets", "_table", "_dense")
@@ -402,6 +404,12 @@ class PathMap:
             if not isinstance(path, GrammarPathSuffix):
                 raise ValueError(f"path must be a GrammarPathSuffix, got {path!r}")
             steps, terminal = path.steps, path.terminal
+            if not isinstance(terminal, str):
+                raise ValueError(f"terminal must be a str, got {terminal!r}")
+            for step in steps:
+                if not (isinstance(step, tuple) and len(step) == 2
+                        and isinstance(step[0], str) and isinstance(step[1], int)):
+                    raise ValueError(f"step must be a (str, int) pair, got {step!r}")
             if not steps:
                 raise ValueError(f"path {path} has no steps")
             if isinstance(nid, bool) or not isinstance(nid, int) or nid < 1:

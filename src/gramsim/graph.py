@@ -174,12 +174,15 @@ def load_graph(text: str) -> LabeledGraph:
         first, second = tokens
         if not first.isdigit():
             raise GraphFormatError(f"line {lineno}: expected an integer node id, got {first!r}")
-        nid = int(first)
+        try:
+            nid = int(first)
+            dst = int(second) if second.isdigit() else None
+        except ValueError as exc:  # more digits than int() converts
+            raise GraphFormatError(f"line {lineno}: {exc}") from exc
         if nid < 1:
             raise GraphFormatError(f"line {lineno}: node id must be positive, got {nid}")
-        if second.isdigit():
+        if dst is not None:
             # edge line
-            dst = int(second)
             if nid not in labels:
                 raise GraphFormatError(f"line {lineno}: edge references undeclared node {nid}")
             if dst not in labels:

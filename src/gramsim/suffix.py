@@ -121,9 +121,13 @@ def _parse_suffix(text: str, step_memo: dict[str, tuple[str, int]],
                 raise SuffixFormatError(f"step {part!r} has no '/' in suffix {text!r}")
             if not valid_label(name):
                 raise SuffixFormatError(f"invalid rule name {name!r} in suffix {text!r}")
-            if not ordinal.isdigit() or int(ordinal) < 1:
+            try:
+                number = int(ordinal) if ordinal.isdigit() else 0
+            except ValueError:  # more digits than int() converts
+                number = 0
+            if number < 1:
                 raise SuffixFormatError(f"invalid ordinal {ordinal!r} in suffix {text!r}")
-            step = (name, int(ordinal))
+            step = (name, number)
             if ordinal[0] == "0":
                 # "S/01" prints as "S/1"; kept out of the memo, so that a
                 # memo hit is always a step that prints as written

@@ -218,9 +218,18 @@ def assert_bookkeeping(wg, node_ids):
     assert sorted(leaf for leaves in wg.leaves.values() for leaf in leaves) == list(node_ids)
 
 
+def shapes_on_every_node(wg, name):
+    """The loop shapes that every work node labeled `name` has."""
+    nodes = sum(label == name for label in wg.labels.values())
+    shapes = Counter((sp, dp) for src, sp, dst, dp in wg.edges.values()
+                     if src == dst and wg.labels[src] == name)
+    return [shape for shape, count in shapes.items() if count == nodes]
+
+
 def test_replace_keeps_edge_bookkeeping_exact():
     # replace step by step as compress does (highest count first, ties by
-    # key text), checking the bookkeeping after every replacement
+    # key text), checking the bookkeeping after every replacement, and
+    # that the replacement folded every loop shape all its new nodes have
     rng = random.Random(20261019)
     graphs = [random_soup(rng, max_nodes=16) for _ in range(40)]
     graphs += [seeded_case(seed)[0] for seed in range(16)]
@@ -238,8 +247,10 @@ def test_replace_keeps_edge_bookkeeping_exact():
                 -counts[key], str(wg.paths[key[0]]), str(wg.paths[key[1]])))
             if best is None or counts[best] < 2:
                 break
-            wg.replace(best, next(fresh_names))
+            name = next(fresh_names)
+            wg.replace(best, name)
             assert_bookkeeping(wg, graph.node_ids)
+            assert shapes_on_every_node(wg, name) == []
         gg, pm = wg.to_grammar(wg.terminals, start_name)
         want_gg, want_pm = compress(graph)
         assert format_grammar(gg) + format_path_map(pm) == (

@@ -286,6 +286,8 @@ def test_path_map_rejects_duplicates(text, message):
     ([("S/1:a", 1)], "path must be a GrammarPathSuffix, got 'S/1:a'"),
     ([(parse_suffix("S/1:a"), 1), (None, 2)], "path must be a GrammarPathSuffix, got None"),
     ([(bare("a"), 1)], "path a has no steps"),
+    ([(GrammarPathSuffix((5,), "a"), 1)], "step must be a (str, int) pair, got 5"),
+    ([(GrammarPathSuffix((("S", 1),), ("a",)), 1)], "terminal must be a str, got ('a',)"),
     ([(parse_suffix("S/1:a"), 0)], "node id must be a positive int, got 0"),
     ([(parse_suffix("S/1:a"), -3)], "node id must be a positive int, got -3"),
     ([(parse_suffix("S/1:a"), True)], "node id must be a positive int, got True"),

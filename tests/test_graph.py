@@ -47,6 +47,9 @@ def test_save_is_canonical(fig1_graph):
     ("² a\n", "line 1: non-ASCII"),  # int() rejects it
     ("1 a\n١ b\n", "line 2: non-ASCII"),  # int() reads it as 1
     ("1 a\n2 b\n1 ٢\n", "line 3: non-ASCII"),
+    # more digits than int() converts
+    pytest.param("1" * 5000 + " a\n", "line 1: ", id="over-long-node-id"),
+    pytest.param("1 a\n2 b\n1 " + "2" * 5000 + "\n", "line 3: ", id="over-long-edge-end"),
 ])
 def test_load_rejects(text, fragment):
     with pytest.raises(GraphFormatError) as err:

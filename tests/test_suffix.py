@@ -57,6 +57,8 @@ def test_parse_steps():
     "A/1:b c",
     "A/١:b",          # Arabic-Indic one, which int() reads as 1
     "A/²:b",
+    # more digits than int() converts
+    pytest.param("S/" + "1" * 5000 + ":a", id="over-long-ordinal"),
 ])
 def test_parse_rejects(text):
     with pytest.raises(SuffixFormatError):
