@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import LabeledGraph, _lines, valid_label
-from .suffix import GrammarPathSuffix, _parse_suffix
+from .suffix import GrammarPathSuffix, SuffixSet, _parse_suffix
 
 
 class GrammarFormatError(ValueError):
@@ -55,6 +55,34 @@ class Rule:
         object.__setattr__(self, "_by_ordinal", dict(body))
 
 
+class _ExpandedSets(dict):
+    """expand_by_node's memo for one grammar object and one path map, or
+    none: each SuffixSet it expanded -> the frozenset of ids it gave,
+    oldest first. `held` counts their ids, plus one per set, so that sets
+    of no ids are bounded too."""
+
+    __slots__ = ("held",)
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+
+    def add(self, sset: SuffixSet, ids: frozenset[int], limit: int) -> None:
+        """Remember `ids` for `sset`, then drop the oldest sets until the
+        rest hold at most `limit`."""
+        self[sset] = ids
+        self.held += len(ids) + 1
+        if self.held > limit:
+            oldest = []
+            for old, old_ids in self.items():
+                if self.held <= limit:
+                    break
+                self.held -= len(old_ids) + 1
+                oldest.append(old)
+            for old in oldest:
+                del self[old]
+
+
 class _Derivation(NamedTuple):
     """The grammar's derivation structure, built in one go from its rules."""
 
@@ -72,6 +100,8 @@ class _Derivation(NamedTuple):
     # for each terminal, the canonical ids of the nodes it labels, listed
     # on first use by represented_node_union
     bare_ids: dict[str, list[int]]
+    # expand_by_node's memo of the sets it expanded without a path map
+    expanded: _ExpandedSets
 
 
 class GraphGrammar:
@@ -235,7 +265,8 @@ class GraphGrammar:
                     if label in rules:
                         shift = offsets[(name, ordinal)]
                         bases[label].extend(base + shift for base in own)
-            derived = _Derivation(occurrences, leaf_counts, offsets, bases, {})
+            derived = _Derivation(occurrences, leaf_counts, offsets, bases, {},
+                                  _ExpandedSets())
             object.__setattr__(self, "_derived", derived)
         return derived
 
@@ -455,7 +486,7 @@ class PathMap:
             raise ValueError(f"{len(by_path)} paths for the {count} full paths the rules "
                              f"derive; missing {GrammarPathSuffix(steps, terminal)}")
         self._rules, self._start, self._offsets, self._table = rules, start, offsets, table
-        self._dense: tuple[weakref.ref, list[int | None]] | None = None
+        self._dense: tuple[weakref.ref, list[int | None], _ExpandedSets] | None = None
 
     @classmethod
     def _from_table(cls, rules: Mapping[str, Rule], start: str,
@@ -475,7 +506,7 @@ class PathMap:
         entries are not checked: gg must be valid, and `ids` distinct
         positive ints, one per node of gg."""
         pm = cls._from_table(gg._rules, gg.start, gg._derivation().offsets, [None, *ids])
-        pm._dense = (weakref.ref(gg), pm._table)
+        pm._dense = (weakref.ref(gg), pm._table, _ExpandedSets())
         return pm
 
     def _same_paths(self, rules: Mapping[str, Rule], start: str) -> bool:
@@ -514,13 +545,20 @@ class PathMap:
         # Dense canonical id -> this map's id table over gg's full paths,
         # None where the map lacks the path; gg must be valid. Kept for the
         # grammar last asked about, checked by identity, through a weak
-        # reference so the map never keeps a grammar alive.
+        # reference so the map never keeps a grammar alive, together with
+        # expand_by_node's memo of the sets it expanded through the map on
+        # that grammar; both start afresh for another grammar.
         dense = self._dense
         if dense is not None and dense[0]() is gg:
             return dense[1]
         table = self._table_for(gg)
-        self._dense = (weakref.ref(gg), table)
+        self._dense = (weakref.ref(gg), table, _ExpandedSets())
         return table
+
+    def _expanded_sets(self, gg: GraphGrammar) -> _ExpandedSets:
+        # expand_by_node's memo for gg, kept beside the table above
+        self._ids_by_canonical(gg)
+        return self._dense[2]
 
     def _table_for(self, gg: GraphGrammar) -> list[int | None]:
         # A grammar of the map's own rules, such as the reloaded grammar

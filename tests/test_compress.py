@@ -138,6 +138,7 @@ def three_copies(loops=(1, 2, 3)):
         + [(3 * k - 2, 3 * k - 2) for k in loops])
 
 
+@pytest.mark.pinned
 def test_edges_inside_every_instance_fold_into_the_rule():
     # R1 = (a, b) leaves each back edge as a loop on an R1 node, and
     # R2 = (c, R1) moves the loops on a under R2: every instance has both,
@@ -172,6 +173,7 @@ def foldable_shapes(gg):
     return [shape for shape, steps in positions.items() if len(steps) == calls[shape[0]]]
 
 
+@pytest.mark.pinned
 def test_compress_leaves_no_shape_to_fold():
     rng = random.Random(20261020)
     graphs = [seeded_case(seed)[0] for seed in range(12)]
@@ -188,6 +190,7 @@ def test_compress_leaves_no_shape_to_fold():
     assert folded > 0
 
 
+@pytest.mark.pinned
 def test_query_stream_graph_folds_to_33_edge_pairs():
     # perfbench's query-stream graph: 3,270 edge pairs before the fold,
     # 3,250 of them copies of 13 shapes inside merged nodes
@@ -226,6 +229,7 @@ def shapes_on_every_node(wg, name):
     return [shape for shape, count in shapes.items() if count == nodes]
 
 
+@pytest.mark.pinned
 def test_replace_keeps_edge_bookkeeping_exact():
     # replace step by step as compress does (highest count first, ties by
     # key text), checking the bookkeeping after every replacement, and
@@ -371,6 +375,7 @@ def _graph_id(params):
     return "-".join(map(str, shape)) + f"-s{seed}"
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("params, digest", GOLDEN,
                          ids=[_graph_id(params) for params, _ in GOLDEN])
 def test_compress_output_is_pinned(params, digest):
@@ -381,6 +386,7 @@ def test_compress_output_is_pinned(params, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("params, digest", GOLDEN_DECOMPRESS,
                          ids=[_graph_id(params) for params, _ in GOLDEN_DECOMPRESS])
 def test_decompress_output_is_pinned(params, digest):
@@ -429,6 +435,7 @@ GOLDEN_DECOMPRESS_TABLE = [
 ]
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("params, digest", GOLDEN_TABLE,
                          ids=[_graph_id(params) for params, _ in GOLDEN_TABLE])
 def test_compress_map_text_is_pinned(params, digest):
@@ -437,6 +444,7 @@ def test_compress_map_text_is_pinned(params, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("params, digest", GOLDEN_DECOMPRESS_TABLE,
                          ids=[_graph_id(params) for params, _ in GOLDEN_DECOMPRESS_TABLE])
 def test_decompress_map_text_is_pinned(params, digest):

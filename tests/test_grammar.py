@@ -77,7 +77,8 @@ def test_grammar_rejects_a_malformed_edge_pair(pair):
     ("TERMINALS a\nSTART S\nRULE S => 1:a-b\n", "line 3: rule S: invalid label 'a-b'"),
     ("TERMINALS a\nSTART S\nRULE S => 1:\n", "line 3: rule S: invalid label ''"),
     ("TERMINALS a\nSTART S\nRULE S-1 => 1:a\n", "line 3: invalid rule name 'S-1'"),
-    ("TERMINALS a\nSTART S\nRULE S => " + "9" * 5000 + ":a\n", "line 3: "),
+    pytest.param("TERMINALS a\nSTART S\nRULE S => " + "9" * 5000 + ":a\n", "line 3: ",
+                 id="over-long-ordinal"),
     ("TERMINALS a\nSTART S\nRULE S => ²:a\n", "line 3: non-ASCII"),
     ("TERMINALS a\nSTART S\nRULE S => ١:a\n", "line 3: non-ASCII"),
     ("TERMINALS a\nSTART S\nRULE S => 1:a\nEDGE S/١:a S/1:a\n", "line 4: non-ASCII"),
@@ -723,7 +724,8 @@ _TABLE_MAP = "CANONICAL\nSTART S\nRULE A => 1:a 2:b\nRULE S => 1:A 2:c 3:A\n"
     ("CANONICAL\nSTART S\nRULE S => 0:a\n1\n",
      "line 3: rule S: ordinal must be a positive integer, got 0"),
     # beyond int()'s digit limit, where one is set
-    ("CANONICAL\nSTART S\nRULE S => " + "9" * 5000 + ":a\n1\n", "line 3: "),
+    pytest.param("CANONICAL\nSTART S\nRULE S => " + "9" * 5000 + ":a\n1\n", "line 3: ",
+                 id="over-long-ordinal"),
     ("CANONICAL\nSTART S\nRULE S => 1:a 1:b\n1\n", "line 3: rule S: duplicate ordinal 1"),
     ("CANONICAL\nSTART S\nRULE S => 1:a\nRULE S => 1:b\n1\n",
      "line 4: rule S already defined on line 3"),
@@ -749,7 +751,8 @@ _TABLE_MAP = "CANONICAL\nSTART S\nRULE A => 1:a 2:b\nRULE S => 1:A 2:c 3:A\n"
      "line 10: more node ids than the 5 nodes the rules derive"),
     (_TABLE_MAP + "1\n2\n3\n4\n5\nRULE B => 1:b\n", "line 10: expected one node id"),
     # beyond int()'s digit limit, where one is set
-    (_TABLE_MAP + "1\n2\n3\n4\n" + "9" * 5000 + "\n", "line 9: "),
+    pytest.param(_TABLE_MAP + "1\n2\n3\n4\n" + "9" * 5000 + "\n", "line 9: ",
+                 id="over-long-node-id"),
 ])
 def test_a_hostile_table_map_fails_on_its_line(text, message):
     with pytest.raises(GrammarFormatError) as err:
@@ -786,6 +789,7 @@ def test_entry_text_parses_to_a_map_equal_to_its_table_text(case):
             assert _union_outcome(gg, probe, old) == _union_outcome(gg, probe, new)
 
 
+@pytest.mark.pinned
 def test_the_kept_entry_text_of_fig1_equals_its_table_text():
     # the decompress map of fig1.gg in `<path> <id>` lines, as the CLI
     # wrote it before the table form, converts to the table text it writes

@@ -349,6 +349,7 @@ def _simulation_transcript(seed):
 SIMULATION_DIGEST = "0166a8789cb71135d545155ad213d623c429718447e3855bbf33bc6a6bd6c7f0"
 
 
+@pytest.mark.pinned
 def test_simulation_output_is_pinned():
     text = "".join(_simulation_transcript(seed) for seed in range(20))
     assert hashlib.sha256(text.encode()).hexdigest() == SIMULATION_DIGEST
@@ -531,6 +532,76 @@ def test_expansion_fit_checks_every_result(fig1_grammar, cd_pattern):
         expand_by_node(other, result)
 
 
+def test_a_repeated_result_expands_to_the_same_frozenset(fig1_grammar, cd_pattern):
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    other = parse_grammar(format_grammar(fig1_grammar))
+    _, canonical = decompress(gg)
+    # every pattern node of this result holds the same set
+    twin = SimulationResult({1: SuffixSet([bare("c")]), 2: SuffixSet([bare("c")])})
+    for path_map in (None, canonical):
+        first = expand_by_node(gg, simulate_on_grammar(gg, cd_pattern), path_map)
+        # an equal result of another run, made of other SuffixSet objects
+        again = expand_by_node(gg, simulate_on_grammar(gg, cd_pattern, optimized=True), path_map)
+        assert first == {1: {6}, 2: {7}}
+        assert all(again[u] is first[u] for u in first)
+        twins = expand_by_node(gg, twin, path_map)
+        assert twins[1] is twins[2] == {1, 3, 6, 8}
+    # the map's memo starts afresh once it expands through another grammar
+    result = simulate_on_grammar(gg, cd_pattern)
+    before = expand_by_node(gg, result, canonical)
+    assert expand_by_node(other, result, canonical) == before
+    after = expand_by_node(gg, result, canonical)
+    assert after == before and after[1] is not before[1]
+
+
+def test_expansion_memo_stays_under_its_limit_and_answers_hold(monkeypatch):
+    # one id per node, which a few sets fill, so that a long stream on one
+    # grammar evicts
+    monkeypatch.setattr(simulate, "_EXPANDED_IDS_PER_NODE", 1)
+    graph = gen_graph(GraphGenParams(16, 10, 0.5, 1.25, 2, seed=1))
+    gg, pm = compress(graph)
+    limit = gg.node_count()
+    evictions = 0
+    for seed in range(60):
+        pattern = gen_pattern(PatternGenParams(nodes=4, edges=5, seed=seed),
+                              graph.label_set())
+        result = simulate_on_grammar(gg, pattern, optimized=True)
+        for path_map, memo in ((None, gg._derivation().expanded), (pm, pm._expanded_sets(gg))):
+            kept = list(memo)
+            expanded = expand_by_node(gg, result, path_map)
+            if path_map is pm:
+                assert expanded == simulate_on_graph(graph, pattern)
+            held = sum(len(ids) + 1 for ids in memo.values())
+            assert held == memo.held <= limit
+            evictions += not set(kept) <= set(memo)
+    assert evictions >= 5
+    # the oldest set goes first: one over the limit drops it alone
+    memo = pm._expanded_sets(gg)
+    order = list(memo)
+    memo.add(SuffixSet(), frozenset(), memo.held)
+    assert list(memo) == order[1:] + [SuffixSet()]
+
+
+def test_expansion_errors_are_raised_every_time_and_never_stored(fig1_grammar):
+    gg = parse_grammar(format_grammar(fig1_grammar))
+    hub = SuffixSet([parse_suffix("S/2:b")])
+    # a map of the first five of fig1's full paths lacks the second CDCD's
+    smaller = PathMap((path, nid) for nid, path in enumerate(full_paths(gg)[:5], start=1))
+    missing = SimulationResult({1: hub, 2: SuffixSet([parse_suffix("S/3:CDCD/1:CD/1:c")])})
+    misfit = SimulationResult({1: hub, 2: SuffixSet([parse_suffix("CD/1:d")])})
+    for _ in range(3):
+        with pytest.raises(KeyError):
+            expand_by_node(gg, missing, smaller)
+        with pytest.raises(ValueError, match="CD/1:d"):
+            expand_by_node(gg, misfit)
+        with pytest.raises(ValueError, match="CD/1:d"):
+            expand_by_node(gg, misfit, smaller)
+    # the first pattern node's set expanded and is kept; the failing ones
+    # are not
+    assert dict(smaller._expanded_sets(gg)) == {hub: {5}}
+    assert dict(gg._derivation().expanded) == {hub: {5}}
+
+
 def test_a_result_keeps_neither_grammar_nor_state_alive(fig1_grammar, cd_pattern):
     def live_states():
         return sum(isinstance(o, _GrammarState) for o in gc.get_objects())
@@ -538,11 +609,14 @@ def test_a_result_keeps_neither_grammar_nor_state_alive(fig1_grammar, cd_pattern
     gc.collect()
     before = live_states()
     gg = parse_grammar(format_grammar(fig1_grammar))
+    _, canonical = decompress(gg)
     result = simulate_on_grammar(gg, cd_pattern, optimized=True)
     assert expand_by_node(gg, result) == {1: {6}, 2: {7}}
+    assert expand_by_node(gg, result, canonical) == {1: {6}, 2: {7}}
     ref = weakref.ref(gg)
     del gg
     gc.collect()
     assert ref() is None
     assert live_states() == before
     assert expand_by_node(fig1_grammar, result) == {1: {6}, 2: {7}}
+    assert expand_by_node(fig1_grammar, result, canonical) == {1: {6}, 2: {7}}
