@@ -13,10 +13,10 @@ import weakref
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import LabeledGraph, _lines, valid_label
-from .suffix import GrammarPathSuffix, SuffixSet, _parse_suffix
+from .suffix import GrammarPathSuffix, _parse_suffix
 
 
 class GrammarFormatError(ValueError):
@@ -55,32 +55,36 @@ class Rule:
         object.__setattr__(self, "_by_ordinal", dict(body))
 
 
-class _ExpandedSets(dict):
-    """expand_by_node's memo for one grammar object and one path map, or
-    none: each SuffixSet it expanded -> the frozenset of ids it gave,
-    oldest first. `held` counts their ids, plus one per set, so that sets
-    of no ids are bounded too."""
+class _Memo(dict):
+    """A dict whose entries' `size(key, value)` sum to `held`; beyond
+    `limit`, its oldest entries go first."""
 
-    __slots__ = ("held",)
+    __slots__ = ("size", "limit", "held")
 
-    def __init__(self):
+    def __init__(self, size: Callable[[object, object], int], limit: int):
         super().__init__()
-        self.held = 0
+        self.size, self.limit, self.held = size, limit, 0
 
-    def add(self, sset: SuffixSet, ids: frozenset[int], limit: int) -> None:
-        """Remember `ids` for `sset`, then drop the oldest sets until the
-        rest hold at most `limit`."""
-        self[sset] = ids
-        self.held += len(ids) + 1
-        if self.held > limit:
-            oldest = []
-            for old, old_ids in self.items():
-                if self.held <= limit:
-                    break
-                self.held -= len(old_ids) + 1
-                oldest.append(old)
-            for old in oldest:
-                del self[old]
+    def add(self, key, value) -> None:
+        """Store `value` for a new `key`, then drop the oldest entries until
+        the rest hold at most `limit` (none, for an entry above it)."""
+        self[key] = value
+        self.held += self.size(key, value)
+        while self.held > self.limit:
+            old = next(iter(self))
+            self.held -= self.size(old, self.pop(old))
+
+
+# The most ids per grammar node that one memo of expand_by_node holds,
+# each set counting one more. The benchmark's memos hold at most 2.7 per
+# node; at 2, query-stream's share of results that hit falls 0.62 -> 0.57.
+_EXPANDED_IDS_PER_NODE = 4
+
+
+def _expansion_memo(nodes: int) -> _Memo:
+    # expand_by_node's memo for a grammar object of `nodes` nodes and one
+    # path map, or none: each SuffixSet it expanded -> the ids it gave
+    return _Memo(lambda sset, ids: len(ids) + 1, _EXPANDED_IDS_PER_NODE * nodes)
 
 
 class _Derivation(NamedTuple):
@@ -97,18 +101,15 @@ class _Derivation(NamedTuple):
     # graph; the start rule's single instance has base 0, and a rule the
     # start rule does not reach has no instances
     bases: dict[str, list[int]]
-    # for each terminal, the canonical ids of the nodes it labels, listed
-    # on first use by represented_node_union
-    bare_ids: dict[str, list[int]]
     # expand_by_node's memo of the sets it expanded without a path map
-    expanded: _ExpandedSets
+    expanded: _Memo
 
 
 class GraphGrammar:
     """Immutable grammar value; semantic checks live in validate()."""
 
     __slots__ = ("terminals", "start", "_rules", "edge_pairs", "_violations",
-                 "_derived", "_hash", "_sim_state", "__weakref__")
+                 "_derived", "_sim_state", "__weakref__")
 
     def __init__(self, terminals: Iterable[str], rules: Iterable[Rule], start: str,
                  edge_pairs: Iterable[tuple[GrammarPathSuffix, GrammarPathSuffix]] = ()):
@@ -136,7 +137,6 @@ class GraphGrammar:
         object.__setattr__(self, "edge_pairs", tuple(pairs))
         object.__setattr__(self, "_violations", None)
         object.__setattr__(self, "_derived", None)
-        object.__setattr__(self, "_hash", None)
         # filled by the simulator on its first run; dies with the grammar
         object.__setattr__(self, "_sim_state", None)
 
@@ -154,12 +154,8 @@ class GraphGrammar:
                 and self._rules == other._rules and set(self.edge_pairs) == set(other.edge_pairs))
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.terminals, self.start, frozenset(self._rules.items()),
-                      frozenset(self.edge_pairs)))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.terminals, self.start, frozenset(self._rules.items()),
+                     frozenset(self.edge_pairs)))
 
     def __repr__(self) -> str:
         return (f"GraphGrammar({len(self._rules)} rules, {len(self.edge_pairs)} edge pairs, "
@@ -192,6 +188,7 @@ class GraphGrammar:
         # hashing a suffix (the grammar keeps every side alive meanwhile)
         checked: dict[int, str | None] = {}
         for left, right in self.edge_pairs:
+            fits = True
             for s in (left, right):
                 key = id(s)
                 if key in checked:
@@ -200,9 +197,13 @@ class GraphGrammar:
                     err = checked[key] = self.suffix_violation(s)
                 if err:
                     v.append(err)
+                    fits = False
             if not left.steps or not right.steps:
                 v.append(f"EDGES pair ({left}, {right}): suffix without an anchor step")
-            elif left.steps[0][0] != right.steps[0][0]:
+            # a side that misfits may start with a step that is no pair,
+            # which suffix_violation has named
+            elif ((fits or _is_step(left.steps[0]) and _is_step(right.steps[0]))
+                  and left.steps[0][0] != right.steps[0][0]):
                 v.append(f"EDGES pair ({left}, {right}): anchor rules differ "
                          f"({left.steps[0][0]} vs {right.steps[0][0]})")
         object.__setattr__(self, "_violations", tuple(v))
@@ -218,29 +219,26 @@ class GraphGrammar:
             err = f"suffix {s}: {s.terminal} is not a terminal"
         rules = self._rules
         expected = s.terminal
-        for name, ordinal in reversed(s.steps):
-            rule = rules.get(name)
-            if rule is None:
-                err = f"suffix {s}: no rule named {name}"
-            else:
-                label = rule._by_ordinal.get(ordinal)
-                if label is None:
-                    err = f"suffix {s}: no ordinal {ordinal} in rule {name}"
-                elif label != expected:
-                    err = f"suffix {s}: ordinal {ordinal} of rule {name} is labeled {label}, not {expected}"
-            expected = name
+        try:
+            for name, ordinal in reversed(s.steps):
+                rule = rules.get(name)
+                if rule is None:
+                    err = f"suffix {s}: no rule named {name}"
+                else:
+                    label = rule._by_ordinal.get(ordinal)
+                    if label is None:
+                        err = f"suffix {s}: no ordinal {ordinal} in rule {name}"
+                    elif label != expected:
+                        err = (f"suffix {s}: ordinal {ordinal} of rule {name} is labeled "
+                               f"{label}, not {expected}")
+                expected = name
+        except (TypeError, ValueError):  # a step that unpacks to no pair
+            err = f"suffix {s}: a step is no (rule, ordinal) pair"
+        if err is not None:  # a step that is no pair is named before any misfit
+            for step in s.steps:
+                if not _is_step(step):
+                    return f"suffix {s}: step {step!r} is not a (rule, ordinal) pair"
         return err
-
-    def _canonical_shift(self, s: GrammarPathSuffix,
-                         offsets: dict[tuple[str, int], int]) -> int | None:
-        """1 + the offsets of the steps of `s`, or None if `s` does not fit
-        this grammar, which must be valid. A full path's canonical id is
-        its shift; any other suffix's ids are its shift over the bases of
-        its anchor rule's instances. `offsets` is the derivation's table,
-        read once by the caller rather than once per suffix."""
-        if s.terminal not in self.terminals:
-            return None
-        return _fit_shift(self._rules, offsets, s)
 
     # ---- derived structure (valid grammars only) ----
 
@@ -265,8 +263,8 @@ class GraphGrammar:
                     if label in rules:
                         shift = offsets[(name, ordinal)]
                         bases[label].extend(base + shift for base in own)
-            derived = _Derivation(occurrences, leaf_counts, offsets, bases, {},
-                                  _ExpandedSets())
+            derived = _Derivation(occurrences, leaf_counts, offsets, bases,
+                                  _expansion_memo(leaf_counts.get(self.start, 0)))
             object.__setattr__(self, "_derived", derived)
         return derived
 
@@ -282,6 +280,11 @@ class GraphGrammar:
 
 
 # ---- path semantics ----
+
+
+def _is_step(step: object) -> bool:
+    # a step that suffix_violation's walk can unpack
+    return isinstance(step, tuple) and len(step) == 2
 
 
 def _walk_calls(rules: Mapping[str, Rule]) -> tuple[list[str], list[str] | None]:
@@ -344,18 +347,18 @@ def _position_tables(rules: Mapping[str, Rule], order: list[str]
 
 def _fit_shift(rules: Mapping[str, Rule], offsets: dict[tuple[str, int], int],
                s: GrammarPathSuffix) -> int | None:
-    # GraphGrammar._canonical_shift on the grammar's rules and offsets,
-    # which a canonical path map holds without the grammar:
-    # suffix_violation's walk, stopping at the first misfit, with no
-    # message to word; whether s ends in a terminal is the caller's check
+    # 1 + the offsets of the steps of `s`, or None if one misfits `rules`,
+    # all of whose (rule, ordinal) positions `offsets` holds: a full path's
+    # canonical id, or the shift of a suffix's ids over its anchor rule's
+    # instances' bases. Whether s ends in a terminal is the caller's check.
     expected = s.terminal
     shift = 1
     for step in reversed(s.steps):
-        rule = rules.get(step[0])
-        if rule is None or rule._by_ordinal.get(step[1]) != expected:
+        offset = offsets.get(step)
+        if offset is None or rules[step[0]]._by_ordinal[step[1]] != expected:
             return None
         expected = step[0]
-        shift += offsets[step]
+        shift += offset
     return shift
 
 
@@ -486,7 +489,7 @@ class PathMap:
             raise ValueError(f"{len(by_path)} paths for the {count} full paths the rules "
                              f"derive; missing {GrammarPathSuffix(steps, terminal)}")
         self._rules, self._start, self._offsets, self._table = rules, start, offsets, table
-        self._dense: tuple[weakref.ref, list[int | None], _ExpandedSets] | None = None
+        self._dense: tuple[weakref.ref, list[int | None], _Memo] | None = None
 
     @classmethod
     def _from_table(cls, rules: Mapping[str, Rule], start: str,
@@ -501,13 +504,11 @@ class PathMap:
     def _canonical(cls, gg: GraphGrammar, ids: Sequence[int]) -> PathMap:
         """The map that gives gg's full paths, taken in canonical order,
         the ids `ids` (canonical id i gets ids[i - 1]). It holds the table
-        [None, *ids], which is also its table for gg, and gg's rules,
-        start symbol and derivation offsets, but not gg itself. The
-        entries are not checked: gg must be valid, and `ids` distinct
-        positive ints, one per node of gg."""
-        pm = cls._from_table(gg._rules, gg.start, gg._derivation().offsets, [None, *ids])
-        pm._dense = (weakref.ref(gg), pm._table, _ExpandedSets())
-        return pm
+        [None, *ids] and gg's rules, start symbol and derivation offsets,
+        but not gg; gg, whose rules are the map's, reads that table as it
+        is. The entries are not checked: gg must be valid, and `ids`
+        distinct positive ints, one per node of gg."""
+        return cls._from_table(gg._rules, gg.start, gg._derivation().offsets, [None, *ids])
 
     def _same_paths(self, rules: Mapping[str, Rule], start: str) -> bool:
         # equal rules and start symbols derive the same full paths in the
@@ -519,15 +520,12 @@ class PathMap:
         # path is anchored at the start rule and ends in a label that names
         # no rule, and the start symbol is in no body, so every path that
         # fits from there is one
-        if not isinstance(path, GrammarPathSuffix):
+        if (not isinstance(path, GrammarPathSuffix) or not path.steps
+                or path.terminal in self._rules):
             return None
-        steps = path.steps
-        try:
-            if not steps or steps[0][0] != self._start or path.terminal in self._rules:
-                return None
-            return _fit_shift(self._rules, self._offsets, path)
-        except (IndexError, KeyError, TypeError):
-            return None  # a step that is no (rule, ordinal) pair
+        shift = _fit_shift(self._rules, self._offsets, path)
+        # a path that fits has (rule, ordinal) steps
+        return shift if shift is not None and path.steps[0][0] == self._start else None
 
     def _pairs(self) -> Iterable[tuple[GrammarPathSuffix, int]]:
         """The (path, id) entries in canonical order."""
@@ -552,10 +550,10 @@ class PathMap:
         if dense is not None and dense[0]() is gg:
             return dense[1]
         table = self._table_for(gg)
-        self._dense = (weakref.ref(gg), table, _ExpandedSets())
+        self._dense = (weakref.ref(gg), table, _expansion_memo(gg.node_count()))
         return table
 
-    def _expanded_sets(self, gg: GraphGrammar) -> _ExpandedSets:
+    def _expanded_sets(self, gg: GraphGrammar) -> _Memo:
         # expand_by_node's memo for gg, kept beside the table above
         self._ids_by_canonical(gg)
         return self._dense[2]
@@ -569,15 +567,14 @@ class PathMap:
         # path checks the fit and sums the offsets: a separate fit check
         # and offset sum per path made a cold first answer about 9% slower
         # on a grammar whose paths are 11 steps deep.
-        if self._same_paths(gg._rules, gg.start):
+        rules, start, terminals = gg._rules, gg.start, gg.terminals
+        if self._same_paths(rules, start):
             return self._table
-        start = gg.start
-        shift = gg._canonical_shift
         offsets = gg._derivation().offsets
         table: list[int | None] = [None] * (gg.node_count() + 1)
         for path, nid in self._pairs():
-            if path.steps[0][0] == start:
-                cid = shift(path, offsets)
+            if path.steps[0][0] == start and path.terminal in terminals:
+                cid = _fit_shift(rules, offsets, path)
                 if cid is not None:
                     table[cid] = nid
         return table
@@ -612,7 +609,7 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
     A full path's canonical id, 1 + the offsets of its steps, is additive
     along the steps, so a suffix's ids are its canonical shift over the
     bases of its anchor rule's instances, and no full path is built. A
-    bare terminal's ids are listed once per grammar and kept.
+    bare terminal's ids are found so from each body position it labels.
 
     Raises:
         GrammarValidationError: if the grammar is invalid.
@@ -624,23 +621,19 @@ def represented_node_union(gg: GraphGrammar, suffixes: Iterable[GrammarPathSuffi
     derived = gg._derivation()
     bases = derived.bases
     offsets = derived.offsets
-    bare_ids = derived.bare_ids
+    rules, terminals = gg._rules, gg.terminals
     canonical: list[int] = []
     for s in suffixes:
-        shift = gg._canonical_shift(s, offsets)
+        shift = _fit_shift(rules, offsets, s) if s.terminal in terminals else None
         if shift is None:
             raise ValueError(gg.suffix_violation(s))
         if s.steps:
             canonical += [base + shift for base in bases[s.steps[0][0]]]
             continue
-        ids = bare_ids.get(s.terminal)
-        if ids is None:
-            # one id per instance of each body position carrying it
-            ids = bare_ids[s.terminal] = []
-            for position in derived.occurrences.get(s.terminal, ()):
-                first = shift + offsets[position]
-                ids += [base + first for base in bases[position[0]]]
-        canonical += ids
+        # one id per instance of each body position carrying it
+        for position in derived.occurrences.get(s.terminal, ()):
+            first = shift + offsets[position]
+            canonical += [base + first for base in bases[position[0]]]
     if path_map is None:
         return frozenset(canonical)
     table = path_map._ids_by_canonical(gg)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .graph import PatternGraph, _pattern_predecessors
-from .grammar import GraphGrammar, PathMap, _check_fit, represented_node_union
+from .grammar import GraphGrammar, PathMap, _check_fit, _Memo, represented_node_union
 from .suffix import GrammarPathSuffix, SuffixSet
 
 # The digits of a code are the characters below _CAPACITY, and _ABOVE
@@ -46,13 +46,6 @@ _ABOVE = chr(_CAPACITY)
 # runs keep in _GrammarState.pre_sets; the oldest sets go first beyond it.
 # The benchmark's ingest grammar holds about 50,000 after 48 answers.
 _PRE_SET_CODES = 500_000
-
-# The most ids, per node of the grammar, that one memo of expand_by_node
-# holds (each set counts one more); the oldest sets go first beyond it.
-# The benchmark's memos hold at most 2.7 times the node count, and at 2
-# times query-stream's share of pattern-node results that hit falls from
-# 0.62 to 0.57.
-_EXPANDED_IDS_PER_NODE = 4
 
 
 @dataclass(frozen=True)
@@ -210,14 +203,14 @@ class _GrammarState:
     every left is coded; until then the grammar and `_left_sides` keep
     every side alive.
 
-    The one cache, for optimized runs, holds the coalesced predecessor
-    set and its node count per candidate set, up to _PRE_SET_CODES codes
-    in all, oldest sets out first; a lookup's codes are kept only inside
-    it."""
+    The one cache, for optimized runs, `pre_sets`, holds the coalesced
+    predecessor set and its node count per candidate set. It is a _Memo,
+    as expand_by_node's memos are, that counts each set's codes and its
+    predecessor codes, up to _PRE_SET_CODES in all, oldest sets out
+    first; a lookup's codes are kept only inside it."""
 
     __slots__ = ("width", "codes", "_elements", "extensions", "_nodes", "_side_codes",
-                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "pre_sets",
-                 "_pre_codes")
+                 "_rights", "_ends", "_left_sides", "_lefts", "_uncoded", "pre_sets")
 
     def __init__(self, gg: GraphGrammar, capacity: int = _CAPACITY):
         derived = gg._derivation()
@@ -258,8 +251,7 @@ class _GrammarState:
         self._left_sides = [pairs[i][0] for i in order]
         self._lefts: list[str | None] = [None] * len(order)
         self._uncoded = len(order)
-        self.pre_sets: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
-        self._pre_codes = 0  # codes held in pre_sets, keys and values
+        self.pre_sets = _Memo(lambda keys, pre: len(keys) + len(pre[0]), _PRE_SET_CODES)
 
     def encode(self, s: GrammarPathSuffix) -> str:
         """The code of `s`, which must fit the grammar."""
@@ -333,25 +325,9 @@ class _GrammarState:
         cached = self.pre_sets.get(keys)
         if cached is None:
             pre = _coalesce(self, self.predecessors(keys))
-            cached = self.pre_sets[keys] = (pre, self.node_count(pre))
-            self._pre_codes += len(keys) + len(pre)
-            if self._pre_codes > _PRE_SET_CODES:
-                self._evict_pre_sets()
+            cached = (pre, self.node_count(pre))
+            self.pre_sets.add(keys, cached)
         return cached
-
-    def _evict_pre_sets(self) -> None:
-        # drop the oldest sets until the rest fit under _PRE_SET_CODES
-        sets = self.pre_sets
-        held = self._pre_codes
-        oldest = []
-        for keys, (pre, _) in sets.items():
-            if held <= _PRE_SET_CODES:
-                break
-            held -= len(keys) + len(pre)
-            oldest.append(keys)
-        for keys in oldest:
-            del sets[keys]
-        self._pre_codes = held
 
 
 def _state(gg: GraphGrammar) -> _GrammarState:
@@ -521,11 +497,12 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
     object's derivation tables, and with one it lives on the map beside
     its table for the grammar last expanded through it, which holds that
     grammar only weakly and starts afresh for another grammar. Each memo
-    holds at most 4 ids per node of the grammar, oldest sets out first.
-    An error is raised, never stored. No simulation state is built. A
-    path map holds its ids as a table over the full paths of its own
-    rules: a grammar of those rules reads it as it is, and a grammar of
-    other rules builds its table on first use.
+    is of the bounded kind that keeps optimized runs' predecessor sets: it
+    holds at most 4 ids per node of the grammar (each set counts one
+    more), oldest sets out first. An error is raised, never stored. No
+    simulation state is built. A path map holds its ids as a table over
+    the full paths of its own rules: a grammar of those rules reads it as
+    it is, and a grammar of other rules builds its table on first use.
 
     Raises:
         GrammarValidationError: if the grammar is invalid.
@@ -537,13 +514,12 @@ def expand_by_node(gg: GraphGrammar, result: SimulationResult,
         return {}  # no match: nothing to check or to expand
     gg.ensure_valid()
     memo = gg._derivation().expanded if path_map is None else path_map._expanded_sets(gg)
-    limit = _EXPANDED_IDS_PER_NODE * gg.node_count()
     out = {}
     for u, sset in result.candidates.items():
         ids = memo.get(sset)
         if ids is None:
             ids = represented_node_union(gg, sset, path_map)
-            memo.add(sset, ids, limit)
+            memo.add(sset, ids)
         out[u] = ids
     return out
 

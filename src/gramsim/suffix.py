@@ -67,9 +67,13 @@ class GrammarPathSuffix:
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            parts = [f"{name}/{ordinal}" for name, ordinal in self.steps]
-            parts.append(self.terminal)
-            text = ":".join(parts)
+            try:
+                parts = [f"{name}/{ordinal}" for name, ordinal in self.steps]
+                parts.append(self.terminal)
+                text = ":".join(parts)
+            except (TypeError, ValueError):
+                # steps that are no pairs, or a terminal that is no str
+                text = f"{self.steps!r}:{self.terminal!r}"
             object.__setattr__(self, "_text", text)
         return text
 

@@ -12,6 +12,7 @@ from gramsim import (GrammarFormatError, GrammarPathSuffix, GrammarValidationErr
                      format_grammar, format_path_map, gen_graph, load_graph,
                      parse_grammar, parse_path_map, parse_suffix,
                      represented_node_union, simulate_on_graph, simulate_on_grammar)
+from gramsim.grammar import _fit_shift
 from gramsim.simulate import _state
 
 from .conftest import (anchored_paths, corrupt_line, dict_expansion, entry_lines,
@@ -532,6 +533,8 @@ def test_compress_map_does_not_keep_its_grammar_alive():
     text = format_grammar(gg)
     other = compress(seeded_case(10, max_base=10)[0])[0]
     checks = _reference_checks(pm, gg, [parse_grammar(text), other])
+    # the map finds its own table for gg, and holds gg only weakly
+    assert pm._ids_by_canonical(gg) is pm._table
     ref = weakref.ref(gg)
     del gg
     gc.collect()
@@ -946,7 +949,11 @@ def test_a_corrupted_edge_line_fails_on_that_line(seed, data):
 
 def _reference_violation(gg, s):
     # suffix_violation as a walk over the rules, step by step from the
-    # anchor, stopping at the first misfit: the messages it must reproduce
+    # anchor, stopping at the first misfit: the messages it must reproduce.
+    # A step that is no (rule, ordinal) pair is named before any misfit.
+    for step in s.steps:
+        if not (isinstance(step, tuple) and len(step) == 2):
+            return f"suffix {s}: step {step!r} is not a (rule, ordinal) pair"
     for i, (name, ordinal) in enumerate(s.steps):
         rule = gg.rules.get(name)
         if rule is None:
@@ -974,18 +981,22 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     gg, pm = compress(graph)
     # a full path's shift is the id decompress numbers it with
     _, canonical = decompress(gg)
+    rules, offsets = gg.rules, gg._derivation().offsets
     for path, _ in pm:
-        assert gg._canonical_shift(path, gg._derivation().offsets) == canonical.node_for(path)
+        assert _fit_shift(rules, offsets, path) == canonical.node_for(path)
     fitting = [path for path, _ in pm] + [s for pair in gg.edge_pairs for s in pair]
     s = data.draw(st.sampled_from(fitting))
     steps = list(s.steps[data.draw(st.integers(0, len(s.steps))):])
     terminal = s.terminal
     # up to two corruptions, so that one misfit can sit outside another
     kinds = data.draw(st.lists(st.sampled_from(
-        ["unknown rule", "missing ordinal", "wrong label", "nonterminal end"]), max_size=2))
+        ["unknown rule", "missing ordinal", "wrong label", "nonterminal end",
+         "malformed step"]), max_size=2))
     for kind in kinds:
         if not steps:
             return
+        if not all(isinstance(step, tuple) and len(step) == 2 for step in steps):
+            break  # a step that is no pair is named, whatever else misfits
         if kind == "nonterminal end":
             # drop the innermost step: the chain above it still holds, but
             # ends at a rule
@@ -993,7 +1004,9 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
             continue
         i = data.draw(st.integers(0, len(steps) - 1))
         name, ordinal = steps[i]
-        if kind == "unknown rule":
+        if kind == "malformed step":
+            steps[i] = data.draw(st.sampled_from([name, ordinal, (name,), (name, ordinal, 1), ()]))
+        elif kind == "unknown rule":
             steps[i] = ("NoSuchRule", ordinal)
         elif kind == "missing ordinal":
             if name not in gg.rules:
@@ -1011,7 +1024,8 @@ def test_suffix_violation_matches_the_step_walk(seed, data):
     # the last corruption leaves its own step (or the end) misfitting
     assert (message is None) == (not kinds)
     # the shift walk fits exactly the suffixes suffix_violation passes
-    assert (gg._canonical_shift(probe, gg._derivation().offsets) is None) == (message is not None)
+    shift = _fit_shift(rules, offsets, probe) if probe.terminal in gg.terminals else None
+    assert (shift is None) == (message is not None)
 
 
 def test_validate_lists_a_repeated_bad_side_once_per_occurrence(fig1_grammar):
@@ -1047,11 +1061,12 @@ def test_path_map_table_matches_its_definition(seed, other_seed):
     reloaded_gg = parse_grammar(format_grammar(gg))
     reloaded_map = parse_path_map(entry_lines(other_pm))
     ref, other_ref = _as_dict(pm, gg), _as_dict(other_pm, other)
-    # maps from compress and decompress come with the table for their own
+    # maps from compress and decompress read their own table for their
     # grammar; every other pair builds it
     decompressed = [decompress(g)[1] for g in (gg, reloaded_gg)]
     for g, m in [(gg, pm), (other, other_pm), (gg, decompressed[0]),
                  (reloaded_gg, decompressed[1])]:
+        assert m._ids_by_canonical(g) is m._table
         assert m._dense[0]() is g
     canonical = _numbered(gg, 1)
     # another grammar's map has gaps in gg's paths, and paths that misfit

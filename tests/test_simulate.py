@@ -16,7 +16,8 @@ from gramsim import (GrammarPathSuffix, GrammarValidationError, GraphGenParams,
                      predecessor_suffixes, represented_node_union,
                      simulate_on_graph, simulate_on_grammar,
                      suffix_set_difference)
-from gramsim import simulate
+from gramsim import grammar, simulate
+from gramsim.grammar import _Memo
 from gramsim.simulate import _coalesce, _GrammarState, _inside, _reduce, _state
 
 from .conftest import (dict_expansion, full_path_suffixes, full_paths, is_suffix_of,
@@ -449,14 +450,9 @@ def test_pre_sets_stay_under_their_limit_and_answers_hold(monkeypatch):
         result = simulate_on_grammar(gg, pattern, optimized=True)
         assert expand_by_node(gg, result, pm) == simulate_on_graph(graph, pattern)
         held = sum(len(keys) + len(pre) for keys, (pre, _) in state.pre_sets.items())
-        assert held == state._pre_codes <= limit
+        assert held == state.pre_sets.held <= limit
         evictions += not set(kept) <= set(state.pre_sets)
     assert evictions >= 5
-    # the oldest set goes first: one code over the limit drops it alone
-    order = list(state.pre_sets)
-    monkeypatch.setattr(simulate, "_PRE_SET_CODES", state._pre_codes - 1)
-    state._evict_pre_sets()
-    assert list(state.pre_sets) == order[1:]
 
 
 def test_expansion_builds_no_simulation_state(fig1_grammar, cd_pattern):
@@ -557,7 +553,7 @@ def test_a_repeated_result_expands_to_the_same_frozenset(fig1_grammar, cd_patter
 def test_expansion_memo_stays_under_its_limit_and_answers_hold(monkeypatch):
     # one id per node, which a few sets fill, so that a long stream on one
     # grammar evicts
-    monkeypatch.setattr(simulate, "_EXPANDED_IDS_PER_NODE", 1)
+    monkeypatch.setattr(grammar, "_EXPANDED_IDS_PER_NODE", 1)
     graph = gen_graph(GraphGenParams(16, 10, 0.5, 1.25, 2, seed=1))
     gg, pm = compress(graph)
     limit = gg.node_count()
@@ -575,11 +571,48 @@ def test_expansion_memo_stays_under_its_limit_and_answers_hold(monkeypatch):
             assert held == memo.held <= limit
             evictions += not set(kept) <= set(memo)
     assert evictions >= 5
-    # the oldest set goes first: one over the limit drops it alone
-    memo = pm._expanded_sets(gg)
-    order = list(memo)
-    memo.add(SuffixSet(), frozenset(), memo.held)
-    assert list(memo) == order[1:] + [SuffixSet()]
+
+
+def test_a_memo_holds_the_sizes_of_its_entries_and_drops_the_oldest_first():
+    # an entry's size is its key's length plus its value
+    memo = _Memo(lambda key, value: len(key) + value, 10)
+    for key, value, keys in [("a", 2, ["a"]), ("bb", 1, ["a", "bb"]),
+                             ("c", 3, ["a", "bb", "c"]),
+                             # one over the limit drops the oldest alone
+                             ("d", 0, ["bb", "c", "d"]),
+                             # more drops the oldest until the rest fit
+                             ("eee", 3, ["d", "eee"]),
+                             ("f", 9, ["f"]),
+                             # an entry larger than the limit leaves none
+                             ("g", 10, [])]:
+        memo.add(key, value)
+        assert list(memo) == keys
+        assert memo.held == sum(len(k) + v for k, v in memo.items()) <= memo.limit
+
+
+@pytest.mark.parametrize("steps", [pytest.param(("CD", 1), id="a-pair-as-the-steps"),
+                                   pytest.param((("CD",),), id="one-item-step"),
+                                   pytest.param((("CD", 1, 2),), id="three-item-step")])
+@pytest.mark.parametrize("call", ["represented_node_union", "expand_by_node",
+                                  "predecessor_suffixes", "suffix_set_difference", "validate"])
+def test_a_step_that_is_no_pair_is_a_misfit_named_with_its_suffix(fig1_grammar, steps, call):
+    bad = GrammarPathSuffix(steps, "c")
+    want = f"suffix {bad}: step {steps[0]!r} is not a (rule, ordinal) pair"
+    if call == "validate":
+        gg = GraphGrammar(fig1_grammar.terminals, fig1_grammar.rules.values(), fig1_grammar.start,
+                          [*fig1_grammar.edge_pairs, (bad, parse_suffix("CD/2:d"))])
+        assert gg.validate() == [want]
+        return
+    calls = {
+        "represented_node_union": lambda: represented_node_union(fig1_grammar, [bare("b"), bad]),
+        "expand_by_node": lambda: expand_by_node(
+            fig1_grammar, SimulationResult({1: SuffixSet([bad])})),
+        "predecessor_suffixes": lambda: predecessor_suffixes(fig1_grammar, [bad]),
+        "suffix_set_difference": lambda: suffix_set_difference(fig1_grammar, [bare("c")], [bad]),
+    }
+    with pytest.raises(ValueError) as raised:
+        calls[call]()
+    assert type(raised.value) is ValueError and str(raised.value) == want
 
 
 def test_expansion_errors_are_raised_every_time_and_never_stored(fig1_grammar):
