@@ -94,16 +94,18 @@ class WorkGraph:
             out.append(eid)
         return out
 
-    def replace(self, key: tuple[int, int], fresh_name: str) -> set[tuple[int, int]]:
-        """Replace all counted occurrences of `key` by fresh_name nodes.
+    def replace(self, key: tuple[int, int], fresh_name: str,
+                occurrences: list[int]) -> set[tuple[int, int]]:
+        """Replace the occurrences of `key` by fresh_name nodes.
 
-        Each loop shape on the new nodes that all of them have becomes an
-        edge pair of the new rule, and its loops leave the work graph.
-        Returns every digram key whose edge bucket changed. Requires a
-        non-overlapping count of at least 2.
+        `occurrences` is `_occurrences(key)`, counted since the key's
+        bucket last changed: compress passes the list its heap counted,
+        so a replacement costs no second count. Each loop shape on the
+        new nodes that all of them have becomes an edge pair of the new
+        rule, and its loops leave the work graph. Returns every digram
+        key whose edge bucket changed. Requires at least 2 occurrences.
         """
         source, target = self.paths[key[0]], self.paths[key[1]]
-        occurrences = self._occurrences(key)
         if len(occurrences) < 2:
             raise ValueError(f"digram ({source}, {target}) has non-overlapping count "
                              f"{len(occurrences)}, need at least 2")
@@ -238,34 +240,50 @@ def compress(graph: LabeledGraph, *, min_count: int = 2) -> tuple[GraphGrammar, 
     terminals = wg.terminals
     start_name, fresh_names = _allocate_names(terminals)
 
-    # Max-heap of exact counts, ties broken by key text. counts holds the
-    # count of every key that reaches min_count, and each such key has a
-    # heap entry with that count: every key a replacement touches is
-    # recounted at once, and an entry whose count is no longer its key's
-    # is stale. A bucket with fewer than min_count edges cannot reach it,
-    # so it is not sorted. A replaced key's bucket always empties, so its
-    # own recount drops it.
+    # Max-heap of upper bounds on digram counts, ties broken by key text.
+    # A key's bound is its bucket size, or its count from when it last
+    # reached the top, kept with its occurrences in `exact` until its
+    # bucket changes. counts[key] is the value of the key's one live
+    # entry, so any other entry of the key is stale and skipped uncounted.
+    # Only a live bucket-size entry at the top is counted. A key whose
+    # count meets its bound is replaced: every other key's bound, and so
+    # its count, sorts at or after it, which is the order exact counts
+    # give. Otherwise the key goes back with its count, or leaves below
+    # min_count. A bucket smaller than min_count never enters. A replaced
+    # key's bucket always empties, so its own touch drops it.
     counts: dict[tuple[int, int], int] = {}
+    exact: dict[tuple[int, int], list[int]] = {}
     heap: list[tuple[int, str, str, tuple[int, int]]] = []
-    paths = wg.paths
+    paths, by_digram = wg.paths, wg.by_digram
 
-    def recount(key: tuple[int, int]) -> None:
-        enough = len(wg.by_digram.get(key, ())) >= min_count
-        count = len(wg._occurrences(key)) if enough else 0
-        if count < min_count:
+    def push(key: tuple[int, int], bound: int) -> None:
+        counts[key] = bound
+        heapq.heappush(heap, (-bound, str(paths[key[0]]), str(paths[key[1]]), key))
+
+    def touch(key: tuple[int, int]) -> None:
+        exact.pop(key, None)
+        size = len(by_digram.get(key, ()))
+        if size < min_count:
             counts.pop(key, None)
-        elif counts.get(key) != count:
-            counts[key] = count
-            heapq.heappush(heap, (-count, str(paths[key[0]]), str(paths[key[1]]), key))
+        elif counts.get(key) != size:
+            push(key, size)
 
-    for key in wg.by_digram:
-        recount(key)
+    for key in by_digram:
+        touch(key)
     while heap:
         negc, _, _, key = heapq.heappop(heap)
         if counts.get(key) != -negc:
             continue
-        for touched in wg.replace(key, next(fresh_names)):
-            recount(touched)
+        # a kept list is never empty: it holds at least min_count edges
+        occurrences = exact.pop(key, None) or wg._occurrences(key)
+        if len(occurrences) == -negc:
+            for touched in wg.replace(key, next(fresh_names), occurrences):
+                touch(touched)
+        elif len(occurrences) < min_count:
+            del counts[key]
+        else:
+            exact[key] = occurrences
+            push(key, len(occurrences))
 
     return wg.to_grammar(terminals, start_name)
 

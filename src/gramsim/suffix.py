@@ -152,6 +152,14 @@ def _parse_suffix(text: str, step_memo: dict[str, tuple[str, int]],
     return suffix
 
 
+def _well_typed(s: GrammarPathSuffix) -> bool:
+    # steps a tuple of (str, int) pairs and a str terminal: the sort keys
+    # of such suffixes always compare
+    return isinstance(s.terminal, str) and isinstance(s.steps, tuple) and all(
+        isinstance(step, tuple) and len(step) == 2 and isinstance(step[0], str)
+        and isinstance(step[1], int) for step in s.steps)
+
+
 class SuffixSet:
     """A duplicate-free collection of suffixes in canonical order.
 
@@ -163,8 +171,24 @@ class SuffixSet:
     __slots__ = ("_items", "_hash")
 
     def __init__(self, items: Iterable[GrammarPathSuffix] = ()):
+        """The distinct suffixes of `items` in canonical order.
+
+        Raises:
+            ValueError: naming the first suffix whose steps are not all
+                (str, int) pairs or whose terminal is not a str, when such
+                a suffix makes the sort keys incomparable.
+        """
+        items = tuple(items)
+        try:
+            ordered = sorted(items, key=_sort_key)
+        except TypeError:
+            for s in items:
+                if not _well_typed(s):
+                    raise ValueError(f"suffix {s}: steps must be (str, int) pairs and "
+                                     f"the terminal a str") from None
+            raise
         out: list[GrammarPathSuffix] = []
-        for s in sorted(items, key=_sort_key):
+        for s in ordered:
             if not out or s != out[-1]:  # equal suffixes sort next to each other
                 out.append(s)
         self._items: tuple[GrammarPathSuffix, ...] = tuple(out)

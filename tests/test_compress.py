@@ -230,10 +230,12 @@ def shapes_on_every_node(wg, name):
 
 
 @pytest.mark.pinned
-def test_replace_keeps_edge_bookkeeping_exact():
-    # replace step by step as compress does (highest count first, ties by
-    # key text), checking the bookkeeping after every replacement, and
-    # that the replacement folded every loop shape all its new nodes have
+@pytest.mark.parametrize("min_count", [2, 3, 4])
+def test_replace_keeps_edge_bookkeeping_exact(min_count):
+    # replace step by step with every count exact (highest count first,
+    # ties by key text), checking the bookkeeping after every replacement,
+    # and that the replacement folded every loop shape all its new nodes
+    # have; compress, whose heap holds bounds, must pick the same digrams
     rng = random.Random(20261019)
     graphs = [random_soup(rng, max_nodes=16) for _ in range(40)]
     graphs += [seeded_case(seed)[0] for seed in range(16)]
@@ -249,16 +251,31 @@ def test_replace_keeps_edge_bookkeeping_exact():
             counts = {key: len(wg._occurrences(key)) for key in wg.by_digram}
             best = min(counts, default=None, key=lambda key: (
                 -counts[key], str(wg.paths[key[0]]), str(wg.paths[key[1]])))
-            if best is None or counts[best] < 2:
+            if best is None or counts[best] < min_count:
                 break
             name = next(fresh_names)
-            wg.replace(best, name)
+            wg.replace(best, name, wg._occurrences(best))
             assert_bookkeeping(wg, graph.node_ids)
             assert shapes_on_every_node(wg, name) == []
         gg, pm = wg.to_grammar(wg.terminals, start_name)
-        want_gg, want_pm = compress(graph)
+        want_gg, want_pm = compress(graph, min_count=min_count)
         assert format_grammar(gg) + format_path_map(pm) == (
             format_grammar(want_gg) + format_path_map(want_pm))
+
+
+@pytest.mark.pinned
+def test_compress_counts_a_digram_only_at_the_heap_top(monkeypatch):
+    # A many-small graph of 602 nodes: recounting every digram whose bucket
+    # a replacement changed, and the replaced one again in replace, took
+    # 286 counts for its 33 rules. The heap of bucket-size bounds counts a
+    # key only when its bound reaches the top. Keys are int pairs, so the
+    # number does not depend on the hash seed.
+    calls = []
+    occurrences = WorkGraph._occurrences
+    monkeypatch.setattr(WorkGraph, "_occurrences",
+                        lambda wg, key: calls.append(key) or occurrences(wg, key))
+    gg, _ = compress(gen_graph(GraphGenParams(16, 50, 0.5, 1.25, 2, 0)))
+    assert (len(gg.rules) - 1, len(calls)) == (33, 41)
 
 
 def test_compress_fig1_sizes(fig1_graph):

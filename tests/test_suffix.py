@@ -127,6 +127,22 @@ def test_suffix_set_basics():
     assert s
 
 
+def test_suffix_set_names_a_suffix_whose_sort_key_does_not_compare():
+    # a pair as the steps puts an int where the other suffix has a step
+    # tuple in the sort key; the set names it instead of failing its sort
+    bad = GrammarPathSuffix(("CD", 1), "c")
+    with pytest.raises(ValueError) as raised:
+        SuffixSet([bad, GrammarPathSuffix((("CD", 1),), "c")])
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == (f"suffix {bad}: steps must be (str, int) pairs "
+                                 f"and the terminal a str")
+    # so is a step whose ordinal is no int, and a terminal that is no str
+    for bad, good in [(GrammarPathSuffix((("CD", "1"),), "c"), parse_suffix("CD/1:c")),
+                      (GrammarPathSuffix((), 3), bare("c"))]:
+        with pytest.raises(ValueError, match="steps must be"):
+            SuffixSet([good, bad])
+
+
 def reduced(gg, suffixes):
     """_reduce over the codes of `suffixes`, decoded back."""
     state = _state(gg)
